@@ -8,6 +8,166 @@ namespace amrt::flowsim {
 
 namespace {
 constexpr double kDoneEps = 1e-3;  // bytes: below this a flow is drained
+
+std::vector<double> payload_capacities(const Fabric& fabric, double payload_fraction) {
+  std::vector<double> cap(fabric.link_count());
+  for (LinkId l = 0; l < cap.size(); ++l) {
+    cap[l] = fabric.capacity_bps(l) / 8.0 * payload_fraction;
+  }
+  return cap;
+}
+}  // namespace
+
+MaxMinSolver::MaxMinSolver(std::vector<double> capacity) : capacity_{std::move(capacity)} {
+  const std::size_t n = capacity_.size();
+  head_.assign(n, kNil);
+  cnt_.assign(n, 0);
+  heap_pos_.assign(n, kNil);
+}
+
+void MaxMinSolver::add(std::uint32_t handle, std::span<const LinkId> path) {
+  if (static_cast<std::int64_t>(handle) <= last_added_) {
+    throw std::invalid_argument("MaxMinSolver: handles must be added in increasing order");
+  }
+  last_added_ = handle;
+  if (handle >= path_.size()) {
+    path_.resize(handle + 1);
+    share_.resize(handle + 1, 0.0);
+    seen_.resize(handle + 1, 0);
+    frozen_.resize(handle + 1, 0);
+  }
+  path_[handle] = path;
+  for (const LinkId l : path) {
+    std::uint32_t node = free_;
+    if (node == kNil) {
+      node = static_cast<std::uint32_t>(nodes_.size());
+      nodes_.push_back({});
+    } else {
+      free_ = nodes_[node].next;
+    }
+    nodes_[node] = {handle, kNil};
+    std::uint32_t* link = &head_[l];  // the largest handle so far goes last
+    while (*link != kNil) link = &nodes_[*link].next;
+    *link = node;
+    dirty_.push_back(l);
+  }
+}
+
+void MaxMinSolver::remove(std::uint32_t handle) {
+  for (const LinkId l : path_[handle]) {
+    std::uint32_t* link = &head_[l];
+    while (nodes_[*link].flow != handle) link = &nodes_[*link].next;
+    const std::uint32_t node = *link;
+    *link = nodes_[node].next;
+    nodes_[node].next = free_;
+    free_ = node;
+    dirty_.push_back(l);
+  }
+  path_[handle] = {};
+}
+
+const std::vector<std::uint32_t>& MaxMinSolver::solve() {
+  if (++epoch_ == 0) {  // wrapped: no stale mark may equal the new epoch
+    std::fill(seen_.begin(), seen_.end(), 0);
+    std::fill(frozen_.begin(), frozen_.end(), 0);
+    epoch_ = 1;
+  }
+
+  // Component walk, link -> flows -> links, from every link a membership
+  // change touched. Untouched components keep their shares: no freeze in one
+  // component changes a link of another. A link is queued when its count of
+  // reached flows leaves zero.
+  comp_.clear();
+  stack_.swap(dirty_);
+  while (!stack_.empty()) {
+    const LinkId l = stack_.back();
+    stack_.pop_back();
+    for (std::uint32_t node = head_[l]; node != kNil; node = nodes_[node].next) {
+      const std::uint32_t h = nodes_[node].flow;
+      if (seen_[h] == epoch_) continue;
+      seen_[h] = epoch_;
+      comp_.push_back(h);
+      for (const LinkId p : path_[h]) {
+        if (cnt_[p]++ == 0) stack_.push_back(p);
+      }
+    }
+  }
+  std::sort(comp_.begin(), comp_.end());
+
+  // Bottleneck candidates in first-seen order: flows in handle order, each
+  // path in order. That is the global scan's order restricted to these
+  // components, so it is the same tie-break.
+  heap_.clear();
+  for (const std::uint32_t h : comp_) {
+    for (const LinkId l : path_[h]) {
+      if (heap_pos_[l] != kNil) continue;
+      const auto order = static_cast<std::uint32_t>(heap_.size());
+      heap_pos_[l] = order;
+      heap_.push_back({capacity_[l] / static_cast<double>(cnt_[l]), capacity_[l], order, l});
+    }
+  }
+  for (std::size_t i = heap_.size() / 2; i-- > 0;) sift_down(i);
+
+  // Water filling: freeze every unfrozen flow crossing the bottleneck (the
+  // smallest per-flow share, earliest first-seen on ties) at that share.
+  // Shares are re-keyed on every change rather than kept as lazy lower
+  // bounds: rounding can leave a link's share an ulp below its last value.
+  while (!heap_.empty()) {
+    const LinkId bottleneck = heap_.front().link;
+    const double best = heap_.front().share;
+    for (std::uint32_t node = head_[bottleneck]; node != kNil; node = nodes_[node].next) {
+      const std::uint32_t h = nodes_[node].flow;
+      if (frozen_[h] == epoch_) continue;
+      frozen_[h] = epoch_;
+      share_[h] = best;
+      for (const LinkId l : path_[h]) {
+        const std::size_t i = heap_pos_[l];
+        heap_[i].cap_rem = std::max(0.0, heap_[i].cap_rem - best);
+        if (--cnt_[l] == 0) {
+          heap_erase(l);
+          continue;
+        }
+        heap_[i].share = heap_[i].cap_rem / static_cast<double>(cnt_[l]);
+        reheap(l);
+      }
+    }
+  }
+  return comp_;
+}
+
+void MaxMinSolver::sift_up(std::size_t i) {
+  const Entry e = heap_[i];
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 2;
+    if (!e.before(heap_[parent])) break;
+    heap_set(i, heap_[parent]);
+    i = parent;
+  }
+  heap_set(i, e);
+}
+
+void MaxMinSolver::sift_down(std::size_t i) {
+  const Entry e = heap_[i];
+  const std::size_t n = heap_.size();
+  for (;;) {
+    std::size_t child = 2 * i + 1;
+    if (child >= n) break;
+    if (child + 1 < n && heap_[child + 1].before(heap_[child])) ++child;
+    if (!heap_[child].before(e)) break;
+    heap_set(i, heap_[child]);
+    i = child;
+  }
+  heap_set(i, e);
+}
+
+void MaxMinSolver::heap_erase(LinkId l) {
+  const std::size_t i = heap_pos_[l];
+  heap_pos_[l] = kNil;
+  const Entry last = heap_.back();
+  heap_.pop_back();
+  if (i == heap_.size()) return;
+  heap_set(i, last);
+  reheap(last.link);
 }
 
 const char* to_string(RateModel m) {
@@ -20,7 +180,10 @@ const char* to_string(RateModel m) {
   return "?";
 }
 
-FlowSim::FlowSim(const Fabric& fabric, FlowSimConfig cfg) : fabric_{fabric}, cfg_{std::move(cfg)} {
+FlowSim::FlowSim(const Fabric& fabric, FlowSimConfig cfg)
+    : fabric_{fabric},
+      cfg_{std::move(cfg)},
+      solver_{payload_capacities(fabric, cfg_.payload_fraction)} {
   if (cfg_.rtt <= sim::Duration::zero()) {
     throw std::invalid_argument("FlowSim: rtt must be positive");
   }
@@ -28,8 +191,6 @@ FlowSim::FlowSim(const Fabric& fabric, FlowSimConfig cfg) : fabric_{fabric}, cfg
     throw std::invalid_argument("FlowSim: payload_fraction must be in (0, 1]");
   }
   const std::size_t n = fabric.link_count();
-  cap_rem_.assign(n, 0.0);
-  link_cnt_.assign(n, 0);
   link_bytes_.assign(n, 0.0);
   link_first_.assign(n, sim::TimePoint::max());
   link_last_.assign(n, sim::TimePoint::zero());
@@ -68,60 +229,12 @@ void FlowSim::recompute_targets() {
   const double rtt_s = cfg_.rtt.to_seconds();
   const double slot_step = cfg_.mtu_bytes / rtt_s;  // one packet slot per RTT, bytes/sec
 
-  // Per-link active-flow counts and payload capacities, over used links only.
-  used_links_.clear();
-  for (const Active& f : active_) {
-    for (std::uint32_t i = 0; i < f.path_len; ++i) {
-      const LinkId l = path_arena_[f.path_off + i];
-      if (link_cnt_[l] == 0) {
-        used_links_.push_back(l);
-        cap_rem_[l] = fabric_.capacity_bps(l) / 8.0 * cfg_.payload_fraction;
-      }
-      ++link_cnt_[l];
-    }
-  }
-
-  // Water-filling: repeatedly freeze every flow crossing the current
-  // bottleneck (the link with the smallest per-flow share) at that share.
-  std::vector<char> frozen(active_.size(), 0);
-  std::size_t left = active_.size();
-  while (left > 0) {
-    double best = -1.0;
-    LinkId best_link = 0;
-    for (const LinkId l : used_links_) {
-      if (link_cnt_[l] == 0) continue;
-      const double share = cap_rem_[l] / static_cast<double>(link_cnt_[l]);
-      if (best < 0.0 || share < best) {
-        best = share;
-        best_link = l;
-      }
-    }
-    if (best < 0.0) break;  // no constrained link left (cannot happen: host links)
-    for (std::size_t i = 0; i < active_.size(); ++i) {
-      if (frozen[i] != 0) continue;
-      Active& f = active_[i];
-      bool on_bottleneck = false;
-      for (std::uint32_t p = 0; p < f.path_len; ++p) {
-        if (path_arena_[f.path_off + p] == best_link) {
-          on_bottleneck = true;
-          break;
-        }
-      }
-      if (!on_bottleneck) continue;
-      frozen[i] = 1;
-      --left;
-      f.target = best;
-      for (std::uint32_t p = 0; p < f.path_len; ++p) {
-        const LinkId l = path_arena_[f.path_off + p];
-        cap_rem_[l] = std::max(0.0, cap_rem_[l] - best);
-        --link_cnt_[l];
-      }
-    }
-  }
-  for (const LinkId l : used_links_) link_cnt_[l] = 0;  // restore the zeroed invariant
-
   // Model transitions: how each flow's actual rate tracks its new share.
-  for (Active& f : active_) {
+  // Only re-solved flows can have a new share, and the transition is a
+  // no-op for a non-fresh flow whose share did not move.
+  for (const std::uint32_t h : solver_.solve()) {
+    Active& f = active_[slot_of_[h]];
+    f.target = solver_.share(h);
     if (f.fresh) {
       // Arrival: the unscheduled burst plus an immediately-scheduled grant
       // clock put a new flow at its share within the first RTT.
@@ -218,6 +331,8 @@ FlowSimResult FlowSim::run(stats::FlowObserver* observer) {
     return a.start != b.start ? a.start < b.start : a.id < b.id;
   });
 
+  slot_of_.assign(inputs_.size(), 0);
+
   FlowSimResult res;
   res.started = 0;
   std::size_t next = 0;
@@ -257,6 +372,7 @@ FlowSimResult FlowSim::run(stats::FlowObserver* observer) {
         observer->on_flow_completed(f.id, now_ + completion_latency(f));
       }
       ++res.completed;
+      solver_.remove(f.handle);
       f.path_len = 0;  // mark for removal; keeps indices stable until the erase
       f.rate = 0.0;
       f.total_bytes = 0;
@@ -267,6 +383,9 @@ FlowSimResult FlowSim::run(stats::FlowObserver* observer) {
       active_.erase(std::remove_if(active_.begin(), active_.end(),
                                    [](const Active& f) { return f.path_len == 0; }),
                     active_.end());
+      for (std::size_t i = 0; i < active_.size(); ++i) {
+        slot_of_[active_[i].handle] = static_cast<std::uint32_t>(i);
+      }
     }
 
     // Arrivals due now.
@@ -279,6 +398,9 @@ FlowSimResult FlowSim::run(stats::FlowObserver* observer) {
       f.start = in.start;
       f.path_off = in.path_off;
       f.path_len = in.path_len;
+      f.handle = static_cast<std::uint32_t>(next);
+      slot_of_[f.handle] = static_cast<std::uint32_t>(active_.size());
+      solver_.add(f.handle, {path_arena_.data() + in.path_off, in.path_len});
       active_.push_back(f);
       if (observer != nullptr) observer->on_flow_started(in.id, in.bytes, in.start);
       ++res.started;

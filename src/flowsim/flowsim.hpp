@@ -27,6 +27,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -59,6 +60,88 @@ struct FlowSimConfig {
   double mss_bytes = 1460.0;
   // Hard stop; flows still active at the horizon stay incomplete.
   sim::TimePoint max_time = sim::TimePoint::zero() + sim::Duration::seconds(30);
+};
+
+// Exact incremental max-min sharing (progressive filling), the sharing step
+// of FlowSim (DESIGN.md §15).
+//
+// Keeps, per link, the active flows crossing it. solve() re-runs the water
+// filling only over the connected components (flows joined by shared links)
+// that an add() or remove() touched since the last solve(); no other flow's
+// share can have changed. Inside those components the bottleneck order and
+// every per-link capacity subtraction are the ones a from-scratch scan over
+// all flows in handle order would make, so the shares are bit-identical to a
+// global re-solve.
+class MaxMinSolver {
+ public:
+  // `capacity[l]` is the rate link l shares out.
+  explicit MaxMinSolver(std::vector<double> capacity);
+
+  // Adds an active flow crossing `path`, which must stay valid until
+  // remove(handle). Handles must strictly increase across add() calls:
+  // handle order is the order flows freeze within a bottleneck round and,
+  // through the links' first-seen order, the tie-break between equal shares.
+  void add(std::uint32_t handle, std::span<const LinkId> path);
+  void remove(std::uint32_t handle);
+
+  // Re-solves every component touched since the last solve(). Returns the
+  // handles whose share was recomputed, ascending; valid until the next call.
+  const std::vector<std::uint32_t>& solve();
+
+  [[nodiscard]] double share(std::uint32_t handle) const { return share_[handle]; }
+
+ private:
+  static constexpr std::uint32_t kNil = 0xffffffffu;
+
+  // One incidence: a flow on a link's list. Lists are singly linked through
+  // a recycled pool and kept in ascending handle order.
+  struct Node {
+    std::uint32_t flow;
+    std::uint32_t next;
+  };
+  // Bottleneck candidate: a link with unfrozen flows, keyed by its current
+  // per-flow share, ties broken by first-seen position.
+  struct Entry {
+    double share;    // cap_rem / unfrozen flows
+    double cap_rem;  // capacity not yet given to frozen flows
+    std::uint32_t order;
+    LinkId link;
+    [[nodiscard]] bool before(const Entry& o) const {
+      return share < o.share || (share == o.share && order < o.order);
+    }
+  };
+
+  void heap_set(std::size_t i, const Entry& e) {
+    heap_[i] = e;
+    heap_pos_[e.link] = static_cast<std::uint32_t>(i);
+  }
+  void sift_up(std::size_t i);
+  void sift_down(std::size_t i);
+  void reheap(LinkId l) {
+    sift_up(heap_pos_[l]);
+    sift_down(heap_pos_[l]);
+  }
+  void heap_erase(LinkId l);
+
+  // Per link.
+  std::vector<double> capacity_;
+  std::vector<std::uint32_t> head_;      // incidence list, kNil when empty
+  std::vector<std::uint32_t> cnt_;       // unfrozen flows of the solve crossing the link
+  std::vector<std::uint32_t> heap_pos_;  // index into heap_, kNil when not a candidate
+  std::vector<Node> nodes_;
+  std::uint32_t free_ = kNil;  // recycled nodes
+  // Per flow handle.
+  std::vector<std::span<const LinkId>> path_;
+  std::vector<double> share_;
+  std::vector<std::uint32_t> seen_;    // == epoch_: reached by this walk
+  std::vector<std::uint32_t> frozen_;  // == epoch_: share fixed this solve
+  // Scratch, reused across solves.
+  std::vector<LinkId> dirty_;  // links whose membership changed
+  std::vector<LinkId> stack_;
+  std::vector<Entry> heap_;
+  std::vector<std::uint32_t> comp_;
+  std::uint32_t epoch_ = 0;
+  std::int64_t last_added_ = -1;
 };
 
 struct FlowSimResult {
@@ -107,7 +190,8 @@ class FlowSim {
     sim::TimePoint start{};
     std::uint32_t path_off = 0;
     std::uint32_t path_len = 0;
-    bool fresh = true;  // not yet given an initial rate
+    std::uint32_t handle = 0;  // index into the sorted inputs_; the solver's handle
+    bool fresh = true;         // not yet given an initial rate
   };
 
   void recompute_targets();
@@ -130,12 +214,10 @@ class FlowSim {
   std::vector<LinkId> path_arena_;
 
   std::vector<Active> active_;
+  std::vector<std::uint32_t> slot_of_;  // handle -> index in active_
   sim::TimePoint now_{};
 
-  // Scratch for the water-filling (sized to link_count, reused).
-  std::vector<double> cap_rem_;
-  std::vector<std::uint32_t> link_cnt_;
-  std::vector<LinkId> used_links_;
+  MaxMinSolver solver_;  // over payload capacities
 
   // Usage recording.
   sim::Duration usage_bin_ = sim::Duration::zero();

@@ -250,6 +250,26 @@ TEST(SweepRunner, ProgressCallbackReachesTotal) {
   EXPECT_EQ(last_done.load(), 10u);
 }
 
+// The header promises serialized progress: `done` counts 1, 2, ..., total
+// with no repeats or reordering, whatever the thread interleaving.
+TEST(SweepRunner, ProgressIsStrictlyIncreasingUnderStress) {
+  for (int iter = 0; iter < 1000; ++iter) {
+    harness::SweepOptions opts;
+    opts.threads = 4;
+    std::vector<std::size_t> seen;  // written only from the serialized callback
+    opts.on_progress = [&](std::size_t done, std::size_t total) {
+      EXPECT_EQ(total, 16u);
+      seen.push_back(done);
+    };
+    harness::SweepRunner runner{opts};
+    runner.for_each(16, [](std::size_t) {});
+    ASSERT_EQ(seen.size(), 16u) << "iteration " << iter;
+    for (std::size_t i = 0; i < seen.size(); ++i) {
+      ASSERT_EQ(seen[i], i + 1) << "iteration " << iter;
+    }
+  }
+}
+
 TEST(SweepRunner, ThreadsResolveFromEnv) {
   ::setenv("AMRT_SWEEP_THREADS", "3", 1);
   harness::SweepRunner from_env{};

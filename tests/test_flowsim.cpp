@@ -1,13 +1,17 @@
 // Unit tests for the flow-level fast path (src/flowsim): fabric link layout
-// and path resolution, max-min water-filling, the AMRT/DCTCP/traditional
-// rate ramps, usage recording and observer accounting.
+// and path resolution, max-min water-filling (the incremental solver against
+// a from-scratch reference and a feasibility oracle), the AMRT/DCTCP/
+// traditional rate ramps, usage recording and observer accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <vector>
 
 #include "flowsim/fabric.hpp"
 #include "flowsim/flowsim.hpp"
+#include "sim/rng.hpp"
 #include "stats/fct.hpp"
 
 using namespace amrt;
@@ -95,6 +99,240 @@ TEST(FlowFabric, RejectsBadHostPairs) {
   EXPECT_THROW(f.path(1, 0, 0, path), std::invalid_argument);
   EXPECT_THROW(f.path(1, 0, 99, path), std::invalid_argument);
   EXPECT_THROW(Fabric::fat_tree(3, Bandwidth::gbps(10)), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// MaxMinSolver: exactness against the from-scratch scan, feasibility.
+
+namespace {
+
+// The from-scratch water filling FlowSim ran before the incremental solver,
+// kept as the differential reference. Every active flow (in handle order)
+// is re-solved; each round scans every used link for the smallest share
+// (first seen wins ties) and every path for the flows crossing it.
+std::vector<double> scan_water_fill(const std::vector<double>& capacity,
+                                    const std::vector<const std::vector<LinkId>*>& paths) {
+  std::vector<double> cap_rem(capacity.size(), 0.0);
+  std::vector<std::uint32_t> cnt(capacity.size(), 0);
+  std::vector<LinkId> used;
+  for (const auto* path : paths) {
+    for (const LinkId l : *path) {
+      if (cnt[l] == 0) {
+        used.push_back(l);
+        cap_rem[l] = capacity[l];
+      }
+      ++cnt[l];
+    }
+  }
+  std::vector<double> target(paths.size(), 0.0);
+  std::vector<char> frozen(paths.size(), 0);
+  std::size_t left = paths.size();
+  while (left > 0) {
+    double best = -1.0;
+    LinkId best_link = 0;
+    for (const LinkId l : used) {
+      if (cnt[l] == 0) continue;
+      const double share = cap_rem[l] / static_cast<double>(cnt[l]);
+      if (best < 0.0 || share < best) {
+        best = share;
+        best_link = l;
+      }
+    }
+    if (best < 0.0) break;
+    for (std::size_t i = 0; i < paths.size(); ++i) {
+      if (frozen[i] != 0) continue;
+      const auto& path = *paths[i];
+      if (std::find(path.begin(), path.end(), best_link) == path.end()) continue;
+      frozen[i] = 1;
+      --left;
+      target[i] = best;
+      for (const LinkId l : path) {
+        cap_rem[l] = std::max(0.0, cap_rem[l] - best);
+        --cnt[l];
+      }
+    }
+  }
+  return target;
+}
+
+enum class CaseKind { kLeafSpine, kFatTree, kRandomLinks };
+
+// A flow population over one network: per-link capacities and every flow's
+// path, indexed by solver handle. Paths are fixed before the first add().
+struct SolverCase {
+  std::vector<double> capacity;
+  std::vector<std::vector<LinkId>> paths;
+};
+
+SolverCase make_case(CaseKind kind, sim::Rng& rng, std::size_t n_flows) {
+  SolverCase c;
+  if (kind == CaseKind::kRandomLinks) {
+    // Arbitrary capacities (some equal, to force ties) and 1-4 link paths.
+    const auto n_links = static_cast<std::size_t>(rng.uniform_int(4, 40));
+    const double rates[] = {1.25e8, 1.25e9, 1.25e9, 3.0e9, 5.0e9};
+    for (std::size_t l = 0; l < n_links; ++l) {
+      c.capacity.push_back(rng.bernoulli(0.5) ? rates[rng.index(5)] : rng.uniform(1e8, 5e9));
+    }
+    for (std::size_t i = 0; i < n_flows; ++i) {
+      std::vector<LinkId> path;
+      const auto len = static_cast<std::size_t>(rng.uniform_int(1, 4));
+      while (path.size() < std::min(len, n_links)) {
+        const auto l = static_cast<LinkId>(rng.index(n_links));
+        if (std::find(path.begin(), path.end(), l) == path.end()) path.push_back(l);
+      }
+      c.paths.push_back(std::move(path));
+    }
+    return c;
+  }
+  const Fabric fabric =
+      kind == CaseKind::kFatTree
+          ? Fabric::fat_tree(4, Bandwidth::gbps(10))
+          : Fabric::leaf_spine(static_cast<int>(rng.uniform_int(2, 4)),
+                               static_cast<int>(rng.uniform_int(1, 4)),
+                               static_cast<int>(rng.uniform_int(2, 4)), Bandwidth::gbps(10));
+  const double payload_fraction = 1460.0 / 1500.0;
+  for (LinkId l = 0; l < fabric.link_count(); ++l) {
+    c.capacity.push_back(fabric.capacity_bps(l) / 8.0 * payload_fraction);
+  }
+  for (std::size_t i = 0; i < n_flows; ++i) {
+    const std::size_t src = rng.index(fabric.n_hosts());
+    std::size_t dst = rng.index(fabric.n_hosts() - 1);
+    if (dst >= src) ++dst;
+    std::vector<LinkId> path;
+    fabric.path(i + 1, src, dst, path);
+    c.paths.push_back(std::move(path));
+  }
+  return c;
+}
+
+// Drives a solver through a random arrival/completion sequence: each step
+// adds or removes a small batch of flows, then solves. `check` sees the
+// active handles (ascending), the solver and the handles solve() returned.
+template <typename Check>
+void drive(const SolverCase& c, sim::Rng& rng, std::size_t steps, Check&& check) {
+  MaxMinSolver solver{c.capacity};
+  std::vector<std::uint32_t> active;
+  std::uint32_t next = 0;
+  for (std::size_t step = 0; step < steps; ++step) {
+    const bool can_add = next < c.paths.size();
+    const bool add = can_add && (active.size() < 4 || rng.bernoulli(0.55));
+    if (!add && active.empty()) break;
+    const auto batch = static_cast<std::size_t>(rng.uniform_int(1, 3));
+    for (std::size_t b = 0; b < batch; ++b) {
+      if (add && next < c.paths.size()) {
+        solver.add(next, c.paths[next]);
+        active.push_back(next++);
+      } else if (!add && !active.empty()) {
+        const std::size_t i = rng.index(active.size());
+        solver.remove(active[i]);
+        active.erase(active.begin() + static_cast<std::ptrdiff_t>(i));
+      }
+    }
+    const std::vector<std::uint32_t>& solved = solver.solve();
+    check(active, solver, solved);
+  }
+}
+
+CaseKind kind_for(std::uint64_t seed) { return static_cast<CaseKind>(seed % 3); }
+
+}  // namespace
+
+TEST(MaxMinSolver, MatchesTheScanWaterFillBitForBit) {
+  // 240 seeds over leaf-spine, k=4 fat-tree and random-capacity networks;
+  // every 20th seed runs a long sequence of several thousand membership
+  // changes. After every solve, every active flow's share (re-solved or
+  // not) must equal the from-scratch reference bit for bit.
+  for (std::uint64_t seed = 1; seed <= 240; ++seed) {
+    sim::Rng rng{seed};
+    const bool long_run = seed % 20 == 0;
+    const SolverCase c = make_case(kind_for(seed), rng, long_run ? 1500 : 120);
+    std::vector<double> previous(c.paths.size(), -1.0);
+    std::size_t mismatches = 0;
+    drive(c, rng, long_run ? 4000 : 200,
+          [&](const std::vector<std::uint32_t>& active, const MaxMinSolver& solver,
+              const std::vector<std::uint32_t>& solved) {
+            std::vector<const std::vector<LinkId>*> paths;
+            for (const std::uint32_t h : active) paths.push_back(&c.paths[h]);
+            const std::vector<double> want = scan_water_fill(c.capacity, paths);
+            for (std::size_t i = 0; i < active.size(); ++i) {
+              const double got = solver.share(active[i]);
+              if (std::bit_cast<std::uint64_t>(got) != std::bit_cast<std::uint64_t>(want[i])) {
+                ++mismatches;
+              }
+              // A share that moved must have been re-solved.
+              if (got != previous[active[i]]) {
+                EXPECT_TRUE(std::binary_search(solved.begin(), solved.end(), active[i]))
+                    << "seed " << seed << " handle " << active[i];
+              }
+              previous[active[i]] = got;
+            }
+            EXPECT_TRUE(std::is_sorted(solved.begin(), solved.end()));
+          });
+    EXPECT_EQ(mismatches, 0u) << "seed " << seed;
+  }
+}
+
+TEST(MaxMinSolver, SharesAreFeasibleAndMaxMinFair) {
+  // The max-min oracle, after every solve on randomized leaf-spine and k=4
+  // fat-tree flow sets: no link carries more than its capacity, and every
+  // flow crosses a saturated link on which no flow gets more than it does.
+  for (std::uint64_t seed = 1; seed <= 120; ++seed) {
+    sim::Rng rng{seed};
+    const CaseKind kind = seed % 2 == 0 ? CaseKind::kFatTree : CaseKind::kLeafSpine;
+    const SolverCase c = make_case(kind, rng, 200);
+    std::vector<double> load(c.capacity.size());
+    std::vector<double> top(c.capacity.size());
+    drive(c, rng, 300,
+          [&](const std::vector<std::uint32_t>& active, const MaxMinSolver& solver,
+              const std::vector<std::uint32_t>&) {
+            std::fill(load.begin(), load.end(), 0.0);
+            std::fill(top.begin(), top.end(), 0.0);
+            for (const std::uint32_t h : active) {
+              for (const LinkId l : c.paths[h]) {
+                load[l] += solver.share(h);
+                top[l] = std::max(top[l], solver.share(h));
+              }
+            }
+            for (LinkId l = 0; l < c.capacity.size(); ++l) {
+              ASSERT_LE(load[l], c.capacity[l] * (1.0 + 1e-12)) << "seed " << seed << " link " << l;
+            }
+            for (const std::uint32_t h : active) {
+              const double share = solver.share(h);
+              ASSERT_GT(share, 0.0);
+              const bool bottlenecked =
+                  std::any_of(c.paths[h].begin(), c.paths[h].end(), [&](LinkId l) {
+                    return load[l] >= c.capacity[l] * (1.0 - 1e-9) && share >= top[l] * (1.0 - 1e-9);
+                  });
+              ASSERT_TRUE(bottlenecked) << "seed " << seed << " handle " << h;
+            }
+          });
+  }
+}
+
+TEST(MaxMinSolver, ReSolvesOnlyTheTouchedComponent) {
+  // Links 0-3; flows {0,1} share link 1, flow 2 owns link 3.
+  MaxMinSolver solver{{10.0, 10.0, 10.0, 10.0}};
+  const std::vector<LinkId> a{0, 1}, b{1, 2}, c{3}, d{2};
+  solver.add(0, a);
+  solver.add(1, b);
+  solver.add(2, c);
+  EXPECT_EQ(solver.solve(), (std::vector<std::uint32_t>{0, 1, 2}));
+  EXPECT_EQ(solver.share(0), 5.0);
+  EXPECT_EQ(solver.share(1), 5.0);
+  EXPECT_EQ(solver.share(2), 10.0);
+
+  // Joining flow 1's component on link 2 re-solves {0, 1, 3}, not flow 2.
+  solver.add(3, d);
+  EXPECT_EQ(solver.solve(), (std::vector<std::uint32_t>{0, 1, 3}));
+  EXPECT_EQ(solver.share(3), 5.0);
+  // Flow 1 leaving splits the component; both halves are re-solved.
+  solver.remove(1);
+  EXPECT_EQ(solver.solve(), (std::vector<std::uint32_t>{0, 3}));
+  EXPECT_EQ(solver.share(0), 10.0);
+  EXPECT_EQ(solver.share(3), 10.0);
+  // Nothing changed: nothing to re-solve.
+  EXPECT_TRUE(solver.solve().empty());
+  EXPECT_THROW(solver.add(2, c), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 
 #include "harness/sweep.hpp"
@@ -175,7 +176,7 @@ int main(int argc, char** argv) {
         if (cfg.shards == 0) cfg.shards = 1;
       } else if (match(arg, "--seeds=", v)) {
         n_seeds = std::stoul(v);
-        if (n_seeds == 0) n_seeds = 1;
+        if (n_seeds == 0) throw std::invalid_argument("--seeds must be at least 1");
       } else if (match(arg, "--threads=", v)) {
         threads = static_cast<unsigned>(std::stoul(v));
       } else if (match(arg, "--json=", v)) {
