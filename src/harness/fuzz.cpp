@@ -184,7 +184,7 @@ Scenario build_dumbbell_case(net::Network& network, const CaseConfig& c, const C
   auto attach = [&](net::SwitchId sw, net::SwitchId far, net::PortId far_port, int count) {
     for (int i = 0; i < count; ++i) {
       const net::HostId host = network.add_host(
-          rate, delay, std::make_unique<net::DropTailQueue>(p.queues.host_nic_pkts));
+          rate, delay, net::EgressQueue::drop_tail(p.queues.host_nic_pkts));
       const net::PortId down = network.attach_host(host, sw, qf(false), marker());
       network.switch_at(sw).routes().add_route(network.id_of(host), down);
       network.switch_at(far).routes().add_route(network.id_of(host), far_port);
@@ -229,7 +229,7 @@ Scenario build_chain_case(net::Network& network, const CaseConfig& c, const Case
   for (int i = 0; i < k; ++i) {
     for (int h = 0; h < p.hosts_per_switch; ++h) {
       const net::HostId host = network.add_host(
-          rate, delay, std::make_unique<net::DropTailQueue>(p.queues.host_nic_pkts));
+          rate, delay, net::EgressQueue::drop_tail(p.queues.host_nic_pkts));
       const net::PortId down = network.attach_host(host, switches[i], qf(false), marker());
       network.switch_at(switches[i]).routes().add_route(network.id_of(host), down);
       hosts.push_back(host);

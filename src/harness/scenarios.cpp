@@ -32,7 +32,7 @@ struct Rig {
   }
 
   net::HostId add_host(sim::Bandwidth rate, sim::Duration delay, std::size_t nic_pkts) {
-    return network.add_host(rate, delay, std::make_unique<net::DropTailQueue>(nic_pkts));
+    return network.add_host(rate, delay, net::EgressQueue::drop_tail(nic_pkts));
   }
 
   // Only call once the topology is complete: endpoints hold Host references
@@ -351,14 +351,14 @@ IncastResult run_incast(const IncastConfig& cfg) {
 
   const net::SwitchId sw = network.add_switch();
   const net::HostId recv = network.add_host(
-      rate, delay, std::make_unique<net::DropTailQueue>(cfg.queues.host_nic_pkts));
+      rate, delay, net::EgressQueue::drop_tail(cfg.queues.host_nic_pkts));
   const net::PortId recv_down = network.attach_host(recv, sw, qf(false), marker());
   network.switch_at(sw).routes().add_route(network.id_of(recv), recv_down);
 
   std::vector<net::HostId> senders;
   for (int i = 0; i < cfg.senders; ++i) {
     const net::HostId h = network.add_host(
-        rate, delay, std::make_unique<net::DropTailQueue>(cfg.queues.host_nic_pkts));
+        rate, delay, net::EgressQueue::drop_tail(cfg.queues.host_nic_pkts));
     const net::PortId down = network.attach_host(h, sw, qf(false), marker());
     network.switch_at(sw).routes().add_route(network.id_of(h), down);
     senders.push_back(h);

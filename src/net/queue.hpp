@@ -1,27 +1,29 @@
-// Egress queue disciplines.
+// The egress queue.
 //
-// Every egress port owns one EgressQueue. The base class implements the
-// strict-priority *control band* (grants, tokens, pulls, RTS, and NDP's
-// trimmed headers) that all receiver-driven designs rely on: credit packets
-// must not starve behind data or the grant clock collapses. Concrete
-// subclasses define only the data band:
+// Every egress port owns one EgressQueue: a strict-priority *control band*
+// (grants, tokens, pulls, RTS, and NDP's trimmed headers) that all
+// receiver-driven designs rely on — credit packets must not starve behind
+// data or the grant clock collapses — over one or more FIFO data bands that
+// share a packet limit. The four shapes the paper's switches use differ only
+// in their band count and in what happens to a data packet that arrives at a
+// full data band:
 //
-//   DropTailQueue       — plain FIFO with a packet-count cap (pHost/Homa/AMRT)
-//   TrimmingQueue       — NDP: beyond a threshold, payloads are cut and the
-//                         64B header is promoted into the control band
-//   StrictPriorityQueue — Homa: N FIFO bands selected by Packet::priority
+//   drop_tail       — one band; drop the arrival (pHost/AMRT switch ports
+//                     per §6, and every host NIC)
+//   trimming        — one band; cut the payload and promote the 64B header
+//                     into the control band (NDP)
+//   selective_drop  — one band; sacrifice blind unscheduled packets first
+//                     (Aeolus, cited as [11])
+//   strict_priority — N bands selected by Packet::priority, drop the arrival
+//                     (Homa / PIAS)
 //
-// Dispatch: the per-packet enqueue/dequeue path is devirtualized. Each
-// built-in discipline registers a QueueKind tag and the base class switches
-// on it to call the (final, inlinable) subclass methods directly; the
-// virtual data_* interface remains as the extension fallback (kCustom), so
-// out-of-tree disciplines keep working at the old cost.
+// The class is concrete and non-virtual; the admission policy is a private
+// enum consulted only on the full-band path.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -40,29 +42,42 @@ struct QueueStats {
   std::uint64_t data_bytes_in = 0;   // accepted data-band bytes
 };
 
-// Tag for the devirtualized fast path. kCustom = dispatch virtually.
-enum class QueueKind : std::uint8_t {
-  kDropTail,
-  kTrimming,
-  kSelectiveDrop,
-  kStrictPriority,
-  kCustom,
-};
-
-class EgressQueue {
+class EgressQueue final {
  public:
-  virtual ~EgressQueue() = default;
+  // Plain FIFO holding at most `capacity_pkts` data packets.
+  [[nodiscard]] static EgressQueue drop_tail(std::size_t capacity_pkts) {
+    return EgressQueue{Admission::kDropTail, 1, capacity_pkts};
+  }
+  // NDP: beyond `threshold_pkts` data packets (NDP uses 8), payloads are cut
+  // and the header rides the control band, so the receiver learns of the
+  // loss one RTT faster than a timeout. Trims count as trims, never drops.
+  [[nodiscard]] static EgressQueue trimming(std::size_t threshold_pkts) {
+    return EgressQueue{Admission::kTrim, 1, threshold_pkts};
+  }
+  // Aeolus-style selective dropping (Hu et al., APNet'18 — cited as [11]):
+  // when the data band is full, blind *unscheduled* packets are sacrificed
+  // first so that granted (scheduled) traffic stays lossless. An arriving
+  // scheduled packet evicts the youngest queued unscheduled packet; an
+  // arriving unscheduled packet is dropped outright. Combines with AMRT's
+  // small-threshold discipline (Section 6) to protect the grant clock.
+  [[nodiscard]] static EgressQueue selective_drop(std::size_t capacity_pkts) {
+    return EgressQueue{Admission::kSelectiveDrop, 1, capacity_pkts};
+  }
+  // `bands` priority levels (0 is treated as 1; out-of-range priorities use
+  // the last band) sharing `capacity_pkts` data packets.
+  [[nodiscard]] static EgressQueue strict_priority(std::size_t bands, std::size_t capacity_pkts) {
+    return EgressQueue{Admission::kDropTail, bands == 0 ? 1 : bands, capacity_pkts};
+  }
 
   // Consumes the packet: accepted into a band, trimmed, or dropped.
   inline void enqueue(Packet&& pkt);
-  // Control band first, then the data band.
+  // Control band first, then the data bands in priority order.
   [[nodiscard]] inline std::optional<Packet> dequeue();
 
   [[nodiscard]] std::size_t control_pkts() const { return control_.size(); }
-  [[nodiscard]] inline std::size_t data_pkts() const;
+  [[nodiscard]] std::size_t data_pkts() const { return top_band_.size() + lower_pkts_; }
   [[nodiscard]] std::size_t total_pkts() const { return control_.size() + data_pkts(); }
   [[nodiscard]] bool empty() const { return total_pkts() == 0; }
-  [[nodiscard]] QueueKind kind() const { return kind_; }
   [[nodiscard]] const QueueStats& stats() const { return stats_; }
 
   // Link failure (src/fault): every queued packet — control band included —
@@ -83,21 +98,26 @@ class EgressQueue {
 #endif
   }
 
- protected:
-  explicit EgressQueue(QueueKind kind = QueueKind::kCustom) : kind_{kind} {}
+ private:
+  // What a data packet arriving at a full data band does.
+  enum class Admission : std::uint8_t { kDropTail, kTrim, kSelectiveDrop };
 
-  // Returns false if the data band dropped the packet.
-  virtual bool data_enqueue(Packet&& pkt) = 0;
-  [[nodiscard]] virtual std::optional<Packet> data_dequeue() = 0;
-  [[nodiscard]] virtual std::size_t data_size() const = 0;
+  EgressQueue(Admission admission, std::size_t bands, std::size_t limit_pkts)
+      : lower_bands_(bands - 1), limit_pkts_{limit_pkts}, admission_{admission} {}
+
+  [[nodiscard]] inline std::optional<Packet> pop_data();
+  // The full-band path. Returns true if `pkt` was admitted into a data band.
+  inline bool admit_when_full(Packet&& pkt);
+  // Selective drop at a full band: the one O(depth) operation, kept cold.
+  bool evict_unscheduled_for(Packet&& pkt);
 
   // --- instrumented loss/trim choke points ---------------------------------
   // Every way a packet can leave a queue other than dequeue() goes through
   // exactly one of these three helpers, so the drop/trim statistics and the
-  // audit build's byte accounting cannot drift apart per-discipline.
+  // audit build's byte accounting cannot drift apart per admission policy.
 
   // Refuses an arriving packet at the data band. Returns false so callers
-  // can `return drop_data(...)` from data_enqueue.
+  // can `return drop_data(...)` from the admission path.
   bool drop_data(Packet&& pkt, audit::DropReason reason) {
     ++stats_.dropped;
 #ifdef AMRT_AUDIT
@@ -108,8 +128,8 @@ class EgressQueue {
     return false;
   }
 
-  // Evicts a packet that was already admitted into the data band (Aeolus
-  // selective drop): the occupancy shadow must shrink too.
+  // Evicts a packet that was already admitted (selective drop, link flush):
+  // the occupancy shadow must shrink too.
   void drop_admitted(Packet&& pkt, audit::DropReason reason) {
     ++stats_.dropped;
 #ifdef AMRT_AUDIT
@@ -152,190 +172,44 @@ class EgressQueue {
     }
 #endif
   }
-  QueueStats stats_;
-
- private:
-  // Tag-dispatched (devirtualized) forms of the data_* hooks.
-  inline bool dispatch_enqueue(Packet&& pkt);
-  [[nodiscard]] inline std::optional<Packet> dispatch_dequeue();
 
   RingDeque<Packet> control_;
-  QueueKind kind_;
+  // Data band 0 lives inline and only the other bands keep a packet count, so
+  // a single-band queue's enqueue/dequeue writes nothing a plain FIFO would not.
+  RingDeque<Packet> top_band_;
+  std::vector<RingDeque<Packet>> lower_bands_;  // bands 1..N-1 (strict priority)
+  std::size_t lower_pkts_ = 0;                  // packets in lower_bands_
+  std::size_t limit_pkts_;                      // shared by every data band
+  Admission admission_;
+  QueueStats stats_;
 #ifdef AMRT_AUDIT
   audit::Auditor* audit_ = nullptr;
   std::uint32_t audit_slot_ = 0;
 #endif
 };
 
-class DropTailQueue final : public EgressQueue {
- public:
-  explicit DropTailQueue(std::size_t capacity_pkts)
-      : EgressQueue{QueueKind::kDropTail}, capacity_{capacity_pkts} {}
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
-
- protected:
-  // Bodies live in the header so the tag-dispatched fast path inlines them
-  // at every call site (ports sit in a different TU).
-  bool data_enqueue(Packet&& pkt) override {
-    if (fifo_.size() >= capacity_) {
-      return drop_data(std::move(pkt), audit::DropReason::kDataCapacity);
+inline std::optional<Packet> EgressQueue::pop_data() {
+  if (!top_band_.empty()) return top_band_.pop_front();
+  for (auto& band : lower_bands_) {
+    if (!band.empty()) {
+      --lower_pkts_;
+      return band.pop_front();
     }
-    fifo_.push_back(std::move(pkt));
-    return true;
   }
-  std::optional<Packet> data_dequeue() override {
-    if (fifo_.empty()) return std::nullopt;
-    return fifo_.pop_front();
-  }
-  std::size_t data_size() const override { return fifo_.size(); }
+  return std::nullopt;
+}
 
- private:
-  friend class EgressQueue;  // tag dispatch calls the hooks non-virtually
-  std::size_t capacity_;
-  RingDeque<Packet> fifo_;
-};
-
-class TrimmingQueue final : public EgressQueue {
- public:
-  // `threshold_pkts`: data packets held before trimming kicks in (NDP uses 8).
-  explicit TrimmingQueue(std::size_t threshold_pkts)
-      : EgressQueue{QueueKind::kTrimming}, threshold_{threshold_pkts} {}
-  [[nodiscard]] std::size_t threshold() const { return threshold_; }
-
- protected:
-  bool data_enqueue(Packet&& pkt) override {
-    if (fifo_.size() >= threshold_) {
-      // NDP: cut the payload, keep the header. The header rides the control
-      // band so the receiver learns of the loss one RTT faster than a timeout.
+inline bool EgressQueue::admit_when_full(Packet&& pkt) {
+  switch (admission_) {
+    case Admission::kDropTail:
+      return drop_data(std::move(pkt), audit::DropReason::kDataCapacity);
+    case Admission::kTrim:
       trim_to_control(std::move(pkt));
       return false;  // not accepted into the data band (counted as trim, not drop)
-    }
-    fifo_.push_back(std::move(pkt));
-    return true;
+    case Admission::kSelectiveDrop:
+      return evict_unscheduled_for(std::move(pkt));
   }
-  std::optional<Packet> data_dequeue() override {
-    if (fifo_.empty()) return std::nullopt;
-    return fifo_.pop_front();
-  }
-  std::size_t data_size() const override { return fifo_.size(); }
-
- private:
-  friend class EgressQueue;
-  std::size_t threshold_;
-  RingDeque<Packet> fifo_;
-};
-
-// Aeolus-style selective dropping (Hu et al., APNet'18 — cited as [11]):
-// when the data band is full, blind *unscheduled* packets are sacrificed
-// first so that granted (scheduled) traffic stays lossless. An arriving
-// scheduled packet evicts the youngest queued unscheduled packet; an
-// arriving unscheduled packet is dropped outright. Combines with AMRT's
-// small-threshold discipline (Section 6) to protect the grant clock.
-class SelectiveDropQueue final : public EgressQueue {
- public:
-  explicit SelectiveDropQueue(std::size_t capacity_pkts)
-      : EgressQueue{QueueKind::kSelectiveDrop}, capacity_{capacity_pkts} {}
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
-
- protected:
-  bool data_enqueue(Packet&& pkt) override;  // cold path stays in queue.cpp
-  std::optional<Packet> data_dequeue() override {
-    if (fifo_.empty()) return std::nullopt;
-    return fifo_.pop_front();
-  }
-  std::size_t data_size() const override { return fifo_.size(); }
-
- private:
-  friend class EgressQueue;
-  std::size_t capacity_;
-  RingDeque<Packet> fifo_;
-};
-
-class StrictPriorityQueue final : public EgressQueue {
- public:
-  // `bands`: number of priority levels; `capacity_pkts`: shared data cap.
-  StrictPriorityQueue(std::size_t bands, std::size_t capacity_pkts);
-  [[nodiscard]] std::size_t bands() const { return bands_.size(); }
-
- protected:
-  bool data_enqueue(Packet&& pkt) override {
-    if (size_ >= capacity_) {
-      return drop_data(std::move(pkt), audit::DropReason::kDataCapacity);
-    }
-    const std::size_t band = std::min<std::size_t>(pkt.priority, bands_.size() - 1);
-    bands_[band].push_back(std::move(pkt));
-    ++size_;
-    return true;
-  }
-  std::optional<Packet> data_dequeue() override {
-    for (auto& band : bands_) {
-      if (!band.empty()) {
-        --size_;
-        return band.pop_front();
-      }
-    }
-    return std::nullopt;
-  }
-  std::size_t data_size() const override { return size_; }
-
- private:
-  friend class EgressQueue;
-  std::vector<RingDeque<Packet>> bands_;
-  std::size_t capacity_;
-  std::size_t size_ = 0;
-};
-
-// --- devirtualized dispatch -------------------------------------------------
-// Defined after the concrete types so the switch can static_cast to them.
-// All four built-ins are `final`, so the casts are exact and the hook bodies
-// (in queue.cpp, same TU as the callers that matter) inline away.
-
-inline bool EgressQueue::dispatch_enqueue(Packet&& pkt) {
-  switch (kind_) {
-    case QueueKind::kDropTail:
-      return static_cast<DropTailQueue&>(*this).data_enqueue(std::move(pkt));
-    case QueueKind::kTrimming:
-      return static_cast<TrimmingQueue&>(*this).data_enqueue(std::move(pkt));
-    case QueueKind::kSelectiveDrop:
-      return static_cast<SelectiveDropQueue&>(*this).data_enqueue(std::move(pkt));
-    case QueueKind::kStrictPriority:
-      return static_cast<StrictPriorityQueue&>(*this).data_enqueue(std::move(pkt));
-    case QueueKind::kCustom:
-      break;
-  }
-  return data_enqueue(std::move(pkt));
-}
-
-inline std::optional<Packet> EgressQueue::dispatch_dequeue() {
-  switch (kind_) {
-    case QueueKind::kDropTail:
-      return static_cast<DropTailQueue&>(*this).data_dequeue();
-    case QueueKind::kTrimming:
-      return static_cast<TrimmingQueue&>(*this).data_dequeue();
-    case QueueKind::kSelectiveDrop:
-      return static_cast<SelectiveDropQueue&>(*this).data_dequeue();
-    case QueueKind::kStrictPriority:
-      return static_cast<StrictPriorityQueue&>(*this).data_dequeue();
-    case QueueKind::kCustom:
-      break;
-  }
-  return data_dequeue();
-}
-
-inline std::size_t EgressQueue::data_pkts() const {
-  switch (kind_) {
-    case QueueKind::kDropTail:
-      return static_cast<const DropTailQueue&>(*this).data_size();
-    case QueueKind::kTrimming:
-      return static_cast<const TrimmingQueue&>(*this).data_size();
-    case QueueKind::kSelectiveDrop:
-      return static_cast<const SelectiveDropQueue&>(*this).data_size();
-    case QueueKind::kStrictPriority:
-      return static_cast<const StrictPriorityQueue&>(*this).data_size();
-    case QueueKind::kCustom:
-      break;
-  }
-  return data_size();
+  return false;
 }
 
 inline void EgressQueue::enqueue(Packet&& pkt) {
@@ -346,17 +220,25 @@ inline void EgressQueue::enqueue(Packet&& pkt) {
     return;
   }
   const auto bytes = pkt.wire_bytes;
-  if (dispatch_enqueue(std::move(pkt))) {
-    stats_.data_bytes_in += bytes;
-    const std::size_t depth = data_pkts();
-    if (depth > stats_.max_data_pkts) stats_.max_data_pkts = depth;
-#ifdef AMRT_AUDIT
-    if (audit_ != nullptr) {
-      audit_->on_queue_admit(audit_slot_, bytes, total_pkts(), stats_.enqueued, stats_.dequeued,
-                             stats_.dropped);
-    }
-#endif
+  if (data_pkts() >= limit_pkts_) {
+    if (!admit_when_full(std::move(pkt))) return;
+  } else if (pkt.priority == 0 || lower_bands_.empty()) {
+    top_band_.push_back(std::move(pkt));
+  } else {
+    // Priorities past the last band share it.
+    lower_bands_[std::min<std::size_t>(pkt.priority, lower_bands_.size()) - 1].push_back(
+        std::move(pkt));
+    ++lower_pkts_;
   }
+  stats_.data_bytes_in += bytes;
+  const std::size_t depth = data_pkts();
+  if (depth > stats_.max_data_pkts) stats_.max_data_pkts = depth;
+#ifdef AMRT_AUDIT
+  if (audit_ != nullptr) {
+    audit_->on_queue_admit(audit_slot_, bytes, total_pkts(), stats_.enqueued, stats_.dequeued,
+                           stats_.dropped);
+  }
+#endif
 }
 
 inline std::optional<Packet> EgressQueue::dequeue() {
@@ -371,7 +253,7 @@ inline std::optional<Packet> EgressQueue::dequeue() {
 #endif
     return pkt;
   }
-  auto pkt = dispatch_dequeue();
+  auto pkt = pop_data();
   if (pkt) {
     ++stats_.dequeued;
 #ifdef AMRT_AUDIT
@@ -390,16 +272,16 @@ inline std::size_t EgressQueue::flush_faulted() {
     drop_admitted(control_.pop_front(), audit::DropReason::kLinkDown);
     ++flushed;
   }
-  while (auto pkt = dispatch_dequeue()) {
+  while (auto pkt = pop_data()) {
     drop_admitted(std::move(*pkt), audit::DropReason::kLinkDown);
     ++flushed;
   }
   return flushed;
 }
 
-// Factory signature used by topology builders: experiments pick a discipline
+// Factory signature used by topology builders: experiments pick a queue shape
 // per protocol. `host_nic` distinguishes end-host NICs (which need room for
 // the unscheduled first-BDP burst) from switch fabric ports.
-using QueueFactory = std::function<std::unique_ptr<EgressQueue>(bool host_nic)>;
+using QueueFactory = std::function<EgressQueue(bool host_nic)>;
 
 }  // namespace amrt::net

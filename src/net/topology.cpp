@@ -41,7 +41,7 @@ LeafSpine build_leaf_spine(Network& net, const LeafSpineConfig& cfg) {
   for (int l = 0; l < cfg.leaves; ++l) {
     for (int h = 0; h < cfg.hosts_per_leaf; ++h) {
       const HostId host = net.add_host(cfg.link_rate, cfg.link_delay,
-                                       std::make_unique<DropTailQueue>(cfg.host_nic_queue_pkts));
+                                       EgressQueue::drop_tail(cfg.host_nic_queue_pkts));
       const PortId down = net.attach_host(host, leaves[l], cfg.queue_factory(false), make_marker());
       hosts.push_back(host);
       out.leaf_down[l].push_back(down);
@@ -153,7 +153,7 @@ FatTree build_fat_tree(Network& net, const FatTreeConfig& cfg) {
       const int ei = p * half + e;
       for (int h = 0; h < half; ++h) {
         const HostId host = net.add_host(cfg.link_rate, cfg.link_delay,
-                                         std::make_unique<DropTailQueue>(cfg.host_nic_queue_pkts));
+                                         EgressQueue::drop_tail(cfg.host_nic_queue_pkts));
         const PortId down =
             net.attach_host(host, edges[ei], cfg.queue_factory(false), make_marker());
         hosts.push_back(host);

@@ -36,12 +36,11 @@ Packet data_pkt(std::uint32_t seq, std::uint32_t wire = kMtuBytes) {
 struct PortRig {
   Scheduler sched;
   SinkNode sink;
-  std::unique_ptr<EgressQueue> queue;  // the port's queue is non-owning
+  EgressQueue queue;  // the port's queue is non-owning
   EgressPort port;
 
-  explicit PortRig(EgressPort::Config cfg, std::unique_ptr<EgressQueue> q =
-                                               std::make_unique<DropTailQueue>(64))
-      : queue{std::move(q)}, port{sched, cfg, *queue} {
+  explicit PortRig(EgressPort::Config cfg, EgressQueue q = EgressQueue::drop_tail(64))
+      : queue{std::move(q)}, port{sched, cfg, queue} {
     sink.now_fn = [this] { return sched.now(); };
     port.connect(sink, 3);
   }
@@ -94,8 +93,7 @@ TEST(EgressPort, BusyTimeAccumulatesSerialization) {
 }
 
 TEST(EgressPort, DropsSurfaceInQueueStats) {
-  PortRig rig{{Bandwidth::gbps(10), Duration::zero()},
-              std::make_unique<DropTailQueue>(1)};
+  PortRig rig{{Bandwidth::gbps(10), Duration::zero()}, EgressQueue::drop_tail(1)};
   // While the first packet serializes, the 2nd occupies the single slot and
   // the rest drop.
   for (std::uint32_t i = 0; i < 5; ++i) rig.port.enqueue(data_pkt(i));
@@ -146,7 +144,7 @@ TEST(EgressPort, JitterBoundsInterPacketSpacing) {
 
 TEST(EgressPort, InvalidConfigRejected) {
   Scheduler sched;
-  DropTailQueue q{4};
+  auto q = EgressQueue::drop_tail(4);
   EXPECT_THROW(EgressPort(sched, {Bandwidth::bps(0), Duration::zero()}, q),
                std::invalid_argument);
 }

@@ -28,7 +28,7 @@ Packet grant_pkt(std::uint32_t seq) {
 }  // namespace
 
 TEST(DropTail, FifoOrder) {
-  DropTailQueue q{8};
+  auto q = EgressQueue::drop_tail(8);
   for (std::uint32_t i = 0; i < 4; ++i) q.enqueue(data_pkt(i));
   for (std::uint32_t i = 0; i < 4; ++i) {
     auto p = q.dequeue();
@@ -39,7 +39,7 @@ TEST(DropTail, FifoOrder) {
 }
 
 TEST(DropTail, DropsBeyondCapacity) {
-  DropTailQueue q{2};
+  auto q = EgressQueue::drop_tail(2);
   for (std::uint32_t i = 0; i < 5; ++i) q.enqueue(data_pkt(i));
   EXPECT_EQ(q.data_pkts(), 2u);
   EXPECT_EQ(q.stats().dropped, 3u);
@@ -47,7 +47,7 @@ TEST(DropTail, DropsBeyondCapacity) {
 }
 
 TEST(DropTail, ControlBandBypassesCapacity) {
-  DropTailQueue q{1};
+  auto q = EgressQueue::drop_tail(1);
   q.enqueue(data_pkt(0));
   q.enqueue(data_pkt(1));  // dropped
   for (std::uint32_t i = 0; i < 10; ++i) q.enqueue(grant_pkt(i));
@@ -56,7 +56,7 @@ TEST(DropTail, ControlBandBypassesCapacity) {
 }
 
 TEST(DropTail, ControlDequeuedBeforeData) {
-  DropTailQueue q{8};
+  auto q = EgressQueue::drop_tail(8);
   q.enqueue(data_pkt(0));
   q.enqueue(grant_pkt(100));
   auto first = q.dequeue();
@@ -68,7 +68,7 @@ TEST(DropTail, ControlDequeuedBeforeData) {
 }
 
 TEST(DropTail, HighWaterMarkTracksPeak) {
-  DropTailQueue q{8};
+  auto q = EgressQueue::drop_tail(8);
   for (std::uint32_t i = 0; i < 5; ++i) q.enqueue(data_pkt(i));
   (void)q.dequeue();
   (void)q.dequeue();
@@ -77,14 +77,14 @@ TEST(DropTail, HighWaterMarkTracksPeak) {
 }
 
 TEST(DropTail, ByteAccounting) {
-  DropTailQueue q{8};
+  auto q = EgressQueue::drop_tail(8);
   q.enqueue(data_pkt(0));
   q.enqueue(data_pkt(1));
   EXPECT_EQ(q.stats().data_bytes_in, 2ull * kMtuBytes);
 }
 
 TEST(Trimming, TrimsBeyondThreshold) {
-  TrimmingQueue q{2};
+  auto q = EgressQueue::trimming(2);
   for (std::uint32_t i = 0; i < 5; ++i) q.enqueue(data_pkt(i));
   EXPECT_EQ(q.data_pkts(), 2u);
   EXPECT_EQ(q.stats().trimmed, 3u);
@@ -93,7 +93,7 @@ TEST(Trimming, TrimsBeyondThreshold) {
 }
 
 TEST(Trimming, TrimmedHeaderKeepsIdentityLosesPayload) {
-  TrimmingQueue q{0};  // everything trims
+  auto q = EgressQueue::trimming(0);  // everything trims
   q.enqueue(data_pkt(7));
   auto p = q.dequeue();
   ASSERT_TRUE(p.has_value());
@@ -105,7 +105,7 @@ TEST(Trimming, TrimmedHeaderKeepsIdentityLosesPayload) {
 }
 
 TEST(Trimming, TrimmedHeadersJumpTheDataQueue) {
-  TrimmingQueue q{1};
+  auto q = EgressQueue::trimming(1);
   q.enqueue(data_pkt(0));
   q.enqueue(data_pkt(1));  // trimmed
   auto first = q.dequeue();
@@ -115,7 +115,7 @@ TEST(Trimming, TrimmedHeadersJumpTheDataQueue) {
 }
 
 TEST(Priority, StrictOrderingAcrossBands) {
-  StrictPriorityQueue q{8, 64};
+  auto q = EgressQueue::strict_priority(8, 64);
   q.enqueue(data_pkt(0, 5));
   q.enqueue(data_pkt(1, 1));
   q.enqueue(data_pkt(2, 3));
@@ -125,7 +125,7 @@ TEST(Priority, StrictOrderingAcrossBands) {
 }
 
 TEST(Priority, FifoWithinBand) {
-  StrictPriorityQueue q{8, 64};
+  auto q = EgressQueue::strict_priority(8, 64);
   q.enqueue(data_pkt(0, 2));
   q.enqueue(data_pkt(1, 2));
   EXPECT_EQ(q.dequeue()->seq, 0u);
@@ -133,7 +133,7 @@ TEST(Priority, FifoWithinBand) {
 }
 
 TEST(Priority, SharedCapacityAcrossBands) {
-  StrictPriorityQueue q{8, 3};
+  auto q = EgressQueue::strict_priority(8, 3);
   q.enqueue(data_pkt(0, 0));
   q.enqueue(data_pkt(1, 7));
   q.enqueue(data_pkt(2, 3));
@@ -143,7 +143,7 @@ TEST(Priority, SharedCapacityAcrossBands) {
 }
 
 TEST(Priority, OutOfRangePriorityClampsToLastBand) {
-  StrictPriorityQueue q{4, 64};
+  auto q = EgressQueue::strict_priority(4, 64);
   q.enqueue(data_pkt(0, 200));
   auto p = q.dequeue();
   ASSERT_TRUE(p.has_value());
@@ -151,14 +151,14 @@ TEST(Priority, OutOfRangePriorityClampsToLastBand) {
 }
 
 TEST(Priority, ControlStillBeatsPriorityZero) {
-  StrictPriorityQueue q{8, 64};
+  auto q = EgressQueue::strict_priority(8, 64);
   q.enqueue(data_pkt(0, 0));
   q.enqueue(grant_pkt(9));
   EXPECT_EQ(q.dequeue()->type, PacketType::kGrant);
 }
 
 TEST(Queues, DequeueCountsInStats) {
-  DropTailQueue q{8};
+  auto q = EgressQueue::drop_tail(8);
   q.enqueue(data_pkt(0));
   q.enqueue(grant_pkt(1));
   (void)q.dequeue();
@@ -186,7 +186,7 @@ TEST(Trimming, TrimThenDrainNeverDrops) {
   // packets convert to control headers in place — they must count as
   // enqueued (they are still in the queue) and never as dropped, or the
   // identity (and the fabric-wide conservation audit) breaks.
-  TrimmingQueue q{2};
+  auto q = EgressQueue::trimming(2);
   std::size_t trimmed_out = 0;
   const auto drain_n = [&](std::size_t n) {
     for (std::size_t i = 0; i < n; ++i) {
@@ -213,7 +213,7 @@ TEST(Trimming, TrimThenDrainNeverDrops) {
 }
 
 TEST(SelectiveDrop, UnscheduledSacrificeKeepsIdentity) {
-  SelectiveDropQueue q{2};
+  auto q = EgressQueue::selective_drop(2);
   Packet blind = data_pkt(0);
   blind.unscheduled = true;
   q.enqueue(std::move(blind));
@@ -230,7 +230,7 @@ TEST(SelectiveDrop, EvictionCountsExactlyOnce) {
   // Scheduled traffic evicts an already-admitted blind packet: the eviction
   // must surface as exactly one drop (not zero — the packet vanished; not
   // two — it was only one packet) and the survivor set must stay full.
-  SelectiveDropQueue q{2};
+  auto q = EgressQueue::selective_drop(2);
   Packet blind = data_pkt(0);
   blind.unscheduled = true;
   q.enqueue(std::move(blind));
@@ -248,4 +248,42 @@ TEST(SelectiveDrop, EvictionCountsExactlyOnce) {
   EXPECT_EQ(b->seq, 2u);
   EXPECT_TRUE(q.empty());
   expect_stats_identity(q);
+}
+
+TEST(Queues, FlushFaultedEmptiesEveryShape) {
+  // A link going down flushes the control band and every data band through
+  // the admitted-drop path. Each shape is filled past its data limit so the
+  // full-band admission (drop, trim, sacrifice/evict) has run first.
+  struct Shape {
+    const char* name;
+    EgressQueue (*make)();
+  };
+  const Shape shapes[] = {
+      {"drop_tail", [] { return EgressQueue::drop_tail(4); }},
+      {"trimming", [] { return EgressQueue::trimming(4); }},
+      {"selective_drop", [] { return EgressQueue::selective_drop(4); }},
+      {"strict_priority", [] { return EgressQueue::strict_priority(8, 4); }},
+  };
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE(shape.name);
+    EgressQueue q = shape.make();
+    for (std::uint32_t i = 0; i < 3; ++i) q.enqueue(grant_pkt(i));
+    for (std::uint32_t i = 0; i < 6; ++i) {
+      Packet p = data_pkt(i, static_cast<std::uint8_t>(i * 5 % 8));  // priorities 0,5,2,7,4,1
+      p.unscheduled = i % 2 == 0;
+      q.enqueue(std::move(p));
+    }
+    ASSERT_EQ(q.data_pkts(), 4u);
+    ASSERT_GE(q.control_pkts(), 3u);
+    expect_stats_identity(q);
+
+    const std::size_t queued = q.total_pkts();
+    const std::uint64_t dropped_before = q.stats().dropped;
+    EXPECT_EQ(q.flush_faulted(), queued);
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.data_pkts(), 0u);
+    EXPECT_EQ(q.stats().dropped, dropped_before + queued);
+    expect_stats_identity(q);
+    EXPECT_FALSE(q.dequeue().has_value());
+  }
 }

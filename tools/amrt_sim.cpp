@@ -173,7 +173,7 @@ int main(int argc, char** argv) {
         cfg.seed = std::stoull(v);
       } else if (match(arg, "--shards=", v)) {
         cfg.shards = static_cast<unsigned>(std::stoul(v));
-        if (cfg.shards == 0) cfg.shards = 1;
+        if (cfg.shards == 0) throw std::invalid_argument("--shards must be at least 1");
       } else if (match(arg, "--seeds=", v)) {
         n_seeds = std::stoul(v);
         if (n_seeds == 0) throw std::invalid_argument("--seeds must be at least 1");
