@@ -18,13 +18,12 @@
 // shrinks the fabric (k=4, a few hundred flows) and exits non-zero unless
 // every flow completes under every requested transport — the scale_smoke /
 // shard_smoke ctests run exactly that in a few seconds.
-#include <sys/resource.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <ctime>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -71,10 +70,15 @@ struct RunResult {
   unsigned shards = 1;
 };
 
+// This process's peak RSS: VmHWM from /proc/self/status, in KiB. getrusage's
+// ru_maxrss is no substitute: Linux carries it across execve, so a bench
+// started from a larger parent would report the parent's peak.
 long peak_rss_kb() {
-  rusage ru{};
-  getrusage(RUSAGE_SELF, &ru);
-  return ru.ru_maxrss;  // KiB on Linux
+  std::ifstream status{"/proc/self/status"};
+  for (std::string line; std::getline(status, line);) {
+    if (line.rfind("VmHWM:", 0) == 0) return std::stol(line.substr(6));
+  }
+  return 0;
 }
 
 RunResult run_one(const Options& opt, transport::Protocol proto) {

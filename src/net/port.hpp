@@ -141,14 +141,18 @@ class EgressPort {
   Node* peer_node_ = nullptr;
   NodeId peer_id_{};
   int peer_port_ = -1;
-  sim::Rng jitter_rng_;
+  // Random streams live out of line: an mt19937_64 is 2.5 KB, and most
+  // ports never draw. A port owns the jitter stream only when tx_jitter > 0
+  // (host NICs) and the fault stream only while set_drop_prob armed it, so
+  // the rest stay small enough for the pool to keep their hot fields close.
+  std::unique_ptr<sim::Rng> jitter_rng_;
   // Fault state (src/fault). effective_rate_ = cfg_.rate * rate_scale_, kept
   // materialized so the healthy fast path pays nothing.
   sim::Bandwidth effective_rate_;
   double rate_scale_ = 1.0;
   double drop_prob_ = 0.0;
   bool link_up_ = true;
-  sim::Rng fault_rng_{0};
+  std::unique_ptr<sim::Rng> fault_rng_;
   std::uint64_t packets_faulted_ = 0;
   std::int64_t tx_memo_bytes_[2] = {-1, -1};
   sim::Duration tx_memo_[2] = {sim::Duration::zero(), sim::Duration::zero()};
@@ -160,5 +164,8 @@ class EgressPort {
   std::uint64_t packets_sent_ = 0;
   sim::Duration busy_time_ = sim::Duration::zero();
 };
+
+// The port pool is walked by every hop; keep a port within four cache lines.
+static_assert(sizeof(EgressPort) <= 256, "EgressPort grew: hold large state out of line");
 
 }  // namespace amrt::net

@@ -16,6 +16,10 @@ namespace amrt::net {
 template <typename T>
 class RingDeque {
  public:
+  // Capacity of the first buffer; a power of two, like every later one.
+  static constexpr std::size_t kInitialCapacity = 4;
+  static_assert((kInitialCapacity & (kInitialCapacity - 1)) == 0, "wrap() masks by capacity - 1");
+
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] std::size_t size() const { return size_; }
 
@@ -59,9 +63,11 @@ class RingDeque {
   [[nodiscard]] std::size_t wrap(std::size_t i) const { return i & (buf_.size() - 1); }
 
   void grow() {
-    // Start at 64: egress queues under incast reach hundreds of packets per
-    // run, and starting small just replays the doubling ladder every run.
-    const std::size_t cap = buf_.empty() ? 64 : buf_.size() * 2;
+    // Start at kInitialCapacity and double. A k=16 fat-tree has ~12k rings
+    // (control and data band of every port) and most stay a few packets
+    // deep, so a small start keeps idle rings cheap; the few that grow deep
+    // under incast pay a handful of extra doublings once per run.
+    const std::size_t cap = buf_.empty() ? kInitialCapacity : buf_.size() * 2;
     std::vector<T> next(cap);
     for (std::size_t i = 0; i < size_; ++i) next[i] = std::move((*this)[i]);
     buf_ = std::move(next);

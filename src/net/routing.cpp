@@ -1,5 +1,6 @@
 #include "net/routing.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -16,24 +17,43 @@ std::uint64_t ecmp_hash(FlowId flow) {
 }
 
 void RoutingTable::add_route(NodeId dst, int port) {
-  if (dst.value >= pending_.size()) pending_.resize(dst.value + 1);
-  if (pending_[dst.value].empty()) ++dst_count_;
-  pending_[dst.value].push_back(port);
+  added_.push_back(Route{dst.value, port});
   dirty_ = true;
 }
 
-// Flattens the per-destination lists into {offset,count} entries over one
-// contiguous pool, in destination order (deterministic). Any cached ECMP
-// picks refer to the old layout, so the route cache is flushed; spray
+// Folds the routes added since the last compaction into {offset,count}
+// entries over one contiguous pool, in destination order (deterministic).
+// A stable counting sort: each destination's compiled ports come first, then
+// its new ones in the order they were added, so an ECMP set always lists its
+// ports in insertion order however wiring and lookups interleave. Any cached
+// ECMP picks refer to the old layout, so the route cache is flushed; spray
 // cursors restart at the front of each (possibly re-shaped) port set.
 void RoutingTable::compact() const {
-  entries_.assign(pending_.size(), Entry{});
-  pool_.clear();
-  for (std::size_t dst = 0; dst < pending_.size(); ++dst) {
-    entries_[dst].offset = static_cast<std::uint32_t>(pool_.size());
-    entries_[dst].count = static_cast<std::uint32_t>(pending_[dst].size());
-    pool_.insert(pool_.end(), pending_[dst].begin(), pending_[dst].end());
+  std::size_t n_dst = entries_.size();
+  for (const Route& r : added_) n_dst = std::max<std::size_t>(n_dst, r.dst + std::size_t{1});
+  std::vector<Entry> entries(n_dst);
+  for (std::size_t dst = 0; dst < entries_.size(); ++dst) entries[dst].count = entries_[dst].count;
+  for (const Route& r : added_) ++entries[r.dst].count;
+  std::uint32_t offset = 0;
+  for (Entry& e : entries) {
+    e.offset = offset;
+    offset += e.count;
   }
+  // `spray` doubles as each destination's fill cursor and ends at zero.
+  std::vector<int> pool(offset);
+  for (std::size_t dst = 0; dst < entries_.size(); ++dst) {
+    const Entry& old = entries_[dst];
+    std::copy_n(pool_.begin() + old.offset, old.count, pool.begin() + entries[dst].offset);
+    entries[dst].spray = old.count;
+  }
+  for (const Route& r : added_) {
+    Entry& e = entries[r.dst];
+    pool[e.offset + e.spray++] = r.port;
+  }
+  for (Entry& e : entries) e.spray = 0;
+  entries_ = std::move(entries);
+  pool_ = std::move(pool);
+  added_ = std::vector<Route>{};  // release the build list's memory
   cache_.fill(CacheSlot{});
   view_entries_ = entries_.data();
   view_pool_ = pool_.data();
@@ -94,6 +114,12 @@ std::span<const int> RoutingTable::ports_for(NodeId dst) const {
   if (dst.value >= entries_.size()) return {};
   const Entry& e = entries_[dst.value];
   return {pool_.data() + e.offset, e.count};
+}
+
+std::size_t RoutingTable::destinations() const {
+  if (dirty_) compact();
+  return static_cast<std::size_t>(
+      std::count_if(entries_.begin(), entries_.end(), [](const Entry& e) { return e.count != 0; }));
 }
 
 void RoutingTable::require_route(NodeId dst) const {

@@ -102,7 +102,8 @@ class RoutingTable {
   // The ECMP set toward `dst`; empty if the destination is unknown.
   [[nodiscard]] std::span<const int> ports_for(NodeId dst) const;
   [[nodiscard]] bool knows(NodeId dst) const { return !ports_for(dst).empty(); }
-  [[nodiscard]] std::size_t destinations() const { return dst_count_; }
+  // Destinations with at least one route.
+  [[nodiscard]] std::size_t destinations() const;
 
   // Wiring-time validation: throws std::logic_error if `dst` has no route.
   // Topology builders call this for every node a switch must reach, so a
@@ -140,10 +141,14 @@ class RoutingTable {
   void refresh_link_view() const;
   [[noreturn]] static void die_unknown_destination(NodeId dst);
 
-  // Build-side: per-destination port lists as added. The compiled (dense)
-  // form is derived lazily so builders may interleave wiring and lookups.
-  std::vector<std::vector<int>> pending_;
-  std::size_t dst_count_ = 0;
+  // Build-side: (dst, port) pairs added since the last compact(), in call
+  // order. The compiled (dense) form is derived lazily so builders may
+  // interleave wiring and lookups; compact() folds this list in and frees it.
+  struct Route {
+    std::uint32_t dst;
+    std::int32_t port;
+  };
+  mutable std::vector<Route> added_;
   mutable bool dirty_ = false;
 
   // Compiled fast path, rebuilt by compact().

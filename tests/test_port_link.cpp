@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "net/port.hpp"
+#include "sim/rng.hpp"
 
 using namespace amrt::net;
 using namespace amrt::sim;
@@ -140,6 +141,58 @@ TEST(EgressPort, JitterBoundsInterPacketSpacing) {
     saw_jitter = saw_jitter || gap > 1200_ns;
   }
   EXPECT_TRUE(saw_jitter);
+}
+
+TEST(EgressPort, JitterDrawsFollowTheSeededStream) {
+  // A jittered port adds uniform_int(0, tx_jitter) ns to each transmission,
+  // drawn in transmission order from one stream seeded with jitter_seed.
+  // With zero propagation and a standing queue, arrival i is the running
+  // sum of serialization plus draw, so every draw is checked exactly.
+  EgressPort::Config cfg{Bandwidth::gbps(10), Duration::zero()};
+  cfg.tx_jitter = 150_ns;
+  cfg.jitter_seed = 0x5eed;
+  PortRig rig{cfg};
+  for (std::uint32_t i = 0; i < 50; ++i) rig.port.enqueue(data_pkt(i));
+  rig.sched.run();
+  ASSERT_EQ(rig.sink.times.size(), 50u);
+  Rng expected{cfg.jitter_seed};
+  TimePoint t = TimePoint::zero();
+  for (std::size_t i = 0; i < rig.sink.times.size(); ++i) {
+    t += 1200_ns + Duration::nanoseconds(expected.uniform_int(0, cfg.tx_jitter.ns()));
+    EXPECT_EQ(rig.sink.times[i], t) << "transmission " << i;
+  }
+}
+
+TEST(EgressPort, BlackholeDropsFollowTheSeededStream) {
+  // Each enqueue on an armed port draws one bernoulli(p) from a stream
+  // seeded by set_drop_prob; re-arming restarts the stream and a disarmed
+  // port draws nothing.
+  constexpr double kProb = 0.3;
+  constexpr std::uint64_t kSeed = 11;
+  PortRig rig{{Bandwidth::gbps(10), Duration::zero()}, EgressQueue::drop_tail(1024)};
+  std::vector<std::uint32_t> expected;
+  std::uint32_t seq = 0;
+  auto send_armed = [&](int n) {
+    rig.port.set_drop_prob(kProb, kSeed);
+    Rng draws{kSeed};
+    for (int i = 0; i < n; ++i, ++seq) {
+      if (!draws.bernoulli(kProb)) expected.push_back(seq);
+      rig.port.enqueue(data_pkt(seq));
+    }
+  };
+  send_armed(200);
+  rig.port.set_drop_prob(0.0, 0);
+  for (int i = 0; i < 20; ++i, ++seq) {
+    expected.push_back(seq);
+    rig.port.enqueue(data_pkt(seq));
+  }
+  send_armed(200);
+  rig.sched.run();
+  std::vector<std::uint32_t> delivered;
+  for (const auto& [pkt, port] : rig.sink.arrivals) delivered.push_back(pkt.seq);
+  EXPECT_EQ(delivered, expected);
+  EXPECT_EQ(rig.port.packets_faulted(), seq - expected.size());
+  EXPECT_EQ(rig.port.queue().stats().dropped, 0u);
 }
 
 TEST(EgressPort, InvalidConfigRejected) {

@@ -3,9 +3,11 @@
 
 #include <map>
 #include <set>
+#include <vector>
 
 #include "net/switch.hpp"
 #include "net/topology.hpp"
+#include "sim/rng.hpp"
 
 using namespace amrt::net;
 using namespace amrt::sim;
@@ -70,6 +72,70 @@ TEST(RoutingTable, PortsForExposesEcmpSet) {
   rt.add_route(NodeId{1}, 3);
   EXPECT_EQ(rt.ports_for(NodeId{1}).size(), 2u);
   EXPECT_EQ(rt.destinations(), 1u);
+}
+
+TEST(RoutingTable, PortsKeepInsertionOrderAcrossCompaction) {
+  // select() picks ports[ecmp_hash % count], so the order of an ECMP set
+  // decides each flow's path and the golden fixtures depend on it. Routes
+  // added after a lookup has compiled the table must follow the compiled
+  // ones, for known destinations, new ones inside the compiled range and
+  // new ones past it.
+  RoutingTable rt;
+  rt.add_route(NodeId{4}, 9);
+  rt.add_route(NodeId{1}, 5);
+  rt.add_route(NodeId{4}, 2);
+  rt.add_route(NodeId{1}, 3);
+  (void)rt.select(to_dst(NodeId{1}));
+  rt.add_route(NodeId{4}, 7);
+  rt.add_route(NodeId{6}, 1);
+  rt.add_route(NodeId{1}, 0);
+  rt.add_route(NodeId{4}, 4);
+  rt.add_route(NodeId{2}, 8);
+  auto ports = [&](std::uint32_t dst) {
+    const auto span = rt.ports_for(NodeId{dst});
+    return std::vector<int>(span.begin(), span.end());
+  };
+  EXPECT_EQ(ports(1), (std::vector<int>{5, 3, 0}));
+  EXPECT_EQ(ports(4), (std::vector<int>{9, 2, 7, 4}));
+  EXPECT_EQ(ports(2), (std::vector<int>{8}));
+  EXPECT_EQ(ports(6), (std::vector<int>{1}));
+  EXPECT_TRUE(ports(3).empty());
+  EXPECT_TRUE(ports(7).empty());
+  EXPECT_EQ(rt.destinations(), 4u);
+  const std::vector<int> set4 = ports(4);
+  for (FlowId f = 1; f < 64; ++f) {
+    EXPECT_EQ(rt.select(to_dst(NodeId{4}, f)), set4[ecmp_hash(f) % set4.size()]) << "flow " << f;
+  }
+}
+
+TEST(RoutingTable, InterleavedWiringMatchesPerDestinationLists) {
+  // Seeded random wiring with lookups between the adds (as topology
+  // builders do through require_route): every ECMP set must equal the
+  // plain per-destination list of its ports in insertion order.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng{seed};
+    RoutingTable rt;
+    std::map<std::uint32_t, std::vector<int>> ref;
+    for (int op = 0; op < 600; ++op) {
+      const auto dst = static_cast<std::uint32_t>(rng.uniform_int(0, 40));
+      if (rng.bernoulli(0.9)) {
+        const auto port = static_cast<int>(rng.uniform_int(0, 63));
+        rt.add_route(NodeId{dst}, port);
+        ref[dst].push_back(port);
+      } else {
+        const auto span = rt.ports_for(NodeId{dst});
+        const auto it = ref.find(dst);
+        ASSERT_EQ(std::vector<int>(span.begin(), span.end()),
+                  it == ref.end() ? std::vector<int>{} : it->second)
+            << "seed " << seed << " op " << op;
+      }
+    }
+    EXPECT_EQ(rt.destinations(), ref.size());
+    for (const auto& [dst, list] : ref) {
+      const auto span = rt.ports_for(NodeId{dst});
+      EXPECT_EQ(std::vector<int>(span.begin(), span.end()), list) << "seed " << seed;
+    }
+  }
 }
 
 TEST(RoutingTable, RouteCacheSurvivesChurnAndInvalidation) {

@@ -11,11 +11,15 @@
 //
 // All flags are optional; defaults match the laptop-scale fabric used by the
 // figure benches.
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include "harness/sweep.hpp"
 #include "net/topology.hpp"
@@ -52,7 +56,7 @@ void usage() {
       "  --trace-out=PATH              dump the generated schedule as a trace\n"
       "                                (single-point runs only)\n"
       "  --validate-trace=PATH         parse and validate a trace file, then exit\n"
-      "  --load=X                      offered load fraction (default 0.5)\n"
+      "  --load=X                      offered load fraction in (0, 1] (default 0.5)\n"
       "  --flows=N                     number of flows (default 400)\n"
       "  --leaves=N --spines=N --hosts-per-leaf=N   fabric shape (4/4/8)\n"
       "  --link-gbps=N                 link rate (default 10)\n"
@@ -83,6 +87,50 @@ bool match(const std::string& arg, const char* prefix, std::string& value) {
   return false;
 }
 
+// Upper bounds that keep derived quantities representable: a flow count a
+// schedule can hold, and a rate and delay whose bit-per-second and
+// nanosecond forms fit in 64 bits with room to spare.
+constexpr std::size_t kMaxFlows = 100'000'000;
+constexpr std::int64_t kMaxLinkGbps = 1'000'000;         // 1 Pb/s
+constexpr std::int64_t kMaxLinkDelayUs = 1'000'000'000;  // 1000 s
+
+// Numeric flags parse as one whole token: trailing characters ("10x"), a
+// fraction for a count ("1.5") and a sign on an unsigned flag ("-1") are
+// errors, never a silent prefix parse or a wrap-around to a huge count.
+template <typename T>
+T parse_number(const std::string& flag, const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec == std::errc::result_out_of_range) {
+    throw std::invalid_argument(flag + " is out of range: '" + text + "'");
+  }
+  if (ec != std::errc{} || ptr != end) {
+    const char* kind = !std::is_integral_v<T> ? "a number"
+                       : std::is_signed_v<T>  ? "an integer"
+                                              : "a non-negative integer";
+    throw std::invalid_argument(flag + " expects " + kind + ", got '" + text + "'");
+  }
+  return value;
+}
+
+// A whole-token number in [lo, hi]; hi defaults to the type's maximum.
+template <typename T>
+T bounded(const std::string& flag, const std::string& text, T lo,
+          T hi = std::numeric_limits<T>::max()) {
+  const T value = parse_number<T>(flag, text);
+  if (value < lo) throw std::invalid_argument(flag + " must be at least " + std::to_string(lo));
+  if (value > hi) throw std::invalid_argument(flag + " must be at most " + std::to_string(hi));
+  return value;
+}
+
+// A probability or share in [0, 1] (NaN fails both comparisons).
+double fraction(const std::string& flag, const std::string& text) {
+  const double value = parse_number<double>(flag, text);
+  if (!(value >= 0.0 && value <= 1.0)) throw std::invalid_argument(flag + " must be in [0, 1]");
+  return value;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -105,9 +153,9 @@ int main(int argc, char** argv) {
       } else if (match(arg, "--fidelity=", v)) {
         cfg.fidelity = harness::fidelity_from_string(v);
       } else if (match(arg, "--flow-background=", v)) {
-        cfg.flow_background_fraction = std::stod(v);
+        cfg.flow_background_fraction = fraction("--flow-background", v);
       } else if (match(arg, "--mixed=", v)) {
-        cfg.background_dctcp_fraction = std::stod(v);
+        cfg.background_dctcp_fraction = fraction("--mixed", v);
       } else if (match(arg, "--workload=", v)) {
         cfg.workload = workload::kind_from_string(v);
       } else if (match(arg, "--workload-engine=", v)) {
@@ -117,21 +165,21 @@ int main(int argc, char** argv) {
       } else if (match(arg, "--arrivals=", v)) {
         cfg.engine.arrivals = workload::arrival_model_from_string(v);
       } else if (match(arg, "--hosts-per-rack=", v)) {
-        cfg.engine.skew.hosts_per_rack = std::stoul(v);
+        cfg.engine.skew.hosts_per_rack = bounded<std::size_t>("--hosts-per-rack", v, 1);
       } else if (match(arg, "--hot-racks=", v)) {
-        cfg.engine.skew.hot_rack_fraction = std::stod(v);
+        cfg.engine.skew.hot_rack_fraction = fraction("--hot-racks", v);
       } else if (match(arg, "--hot-weight=", v)) {
-        cfg.engine.skew.hot_weight = std::stod(v);
+        cfg.engine.skew.hot_weight = fraction("--hot-weight", v);
       } else if (match(arg, "--locality=", v)) {
-        cfg.engine.skew.locality = std::stod(v);
+        cfg.engine.skew.locality = fraction("--locality", v);
       } else if (match(arg, "--coflow=", v)) {
-        cfg.engine.coflow_fraction = std::stod(v);
+        cfg.engine.coflow_fraction = fraction("--coflow", v);
       } else if (match(arg, "--coflow-width=", v)) {
-        cfg.engine.coflow_width = std::stoul(v);
+        cfg.engine.coflow_width = bounded<std::size_t>("--coflow-width", v, 1);
       } else if (match(arg, "--fanout=", v)) {
-        cfg.engine.fanout = std::stoul(v);
+        cfg.engine.fanout = bounded<std::size_t>("--fanout", v, 1);
       } else if (match(arg, "--response-bytes=", v)) {
-        cfg.engine.response_bytes = std::stoull(v);
+        cfg.engine.response_bytes = parse_number<std::uint64_t>("--response-bytes", v);
       } else if (match(arg, "--trace=", v)) {
         cfg.engine.engine = workload::Engine::kTrace;
         cfg.engine.trace_path = v;
@@ -148,37 +196,40 @@ int main(int argc, char** argv) {
           return 1;
         }
       } else if (match(arg, "--load=", v)) {
-        cfg.load = std::stod(v);
+        cfg.load = parse_number<double>("--load", v);
+        if (!(cfg.load > 0.0 && cfg.load <= 1.0)) {
+          throw std::invalid_argument("--load must be in (0, 1]");
+        }
       } else if (match(arg, "--flows=", v)) {
-        cfg.n_flows = std::stoul(v);
+        cfg.n_flows = bounded<std::size_t>("--flows", v, 1, kMaxFlows);
       } else if (match(arg, "--leaves=", v)) {
-        cfg.leaves = std::stoi(v);
+        cfg.leaves = bounded("--leaves", v, 1);
       } else if (match(arg, "--spines=", v)) {
-        cfg.spines = std::stoi(v);
+        cfg.spines = bounded("--spines", v, 1);
       } else if (match(arg, "--hosts-per-leaf=", v)) {
-        cfg.hosts_per_leaf = std::stoi(v);
+        cfg.hosts_per_leaf = bounded("--hosts-per-leaf", v, 1);
       } else if (match(arg, "--link-gbps=", v)) {
-        cfg.link_rate = sim::Bandwidth::gbps(std::stoll(v));
+        cfg.link_rate =
+            sim::Bandwidth::gbps(bounded<std::int64_t>("--link-gbps", v, 1, kMaxLinkGbps));
       } else if (match(arg, "--link-delay-us=", v)) {
-        cfg.link_delay = sim::Duration::microseconds(std::stoll(v));
+        cfg.link_delay = sim::Duration::microseconds(
+            bounded<std::int64_t>("--link-delay-us", v, 0, kMaxLinkDelayUs));
       } else if (match(arg, "--buffer-pkts=", v)) {
-        cfg.queues.buffer_pkts = std::stoul(v);
+        cfg.queues.buffer_pkts = bounded<std::size_t>("--buffer-pkts", v, 1);
       } else if (match(arg, "--overcommit=", v)) {
-        cfg.homa_overcommit = std::stoi(v);
+        cfg.homa_overcommit = bounded("--overcommit", v, 1);
       } else if (match(arg, "--faults=", v)) {
-        cfg.fault_incidents = std::stoul(v);
+        cfg.fault_incidents = parse_number<std::size_t>("--faults", v);
       } else if (match(arg, "--fault-seed=", v)) {
-        cfg.fault_seed = std::stoull(v);
+        cfg.fault_seed = parse_number<std::uint64_t>("--fault-seed", v);
       } else if (match(arg, "--seed=", v)) {
-        cfg.seed = std::stoull(v);
+        cfg.seed = parse_number<std::uint64_t>("--seed", v);
       } else if (match(arg, "--shards=", v)) {
-        cfg.shards = static_cast<unsigned>(std::stoul(v));
-        if (cfg.shards == 0) throw std::invalid_argument("--shards must be at least 1");
+        cfg.shards = bounded("--shards", v, 1u);
       } else if (match(arg, "--seeds=", v)) {
-        n_seeds = std::stoul(v);
-        if (n_seeds == 0) throw std::invalid_argument("--seeds must be at least 1");
+        n_seeds = bounded<std::size_t>("--seeds", v, 1);
       } else if (match(arg, "--threads=", v)) {
-        threads = static_cast<unsigned>(std::stoul(v));
+        threads = parse_number<unsigned>("--threads", v);
       } else if (match(arg, "--json=", v)) {
         json_path = v;
       } else if (match(arg, "--fct-csv=", v)) {
@@ -256,7 +307,15 @@ int main(int argc, char** argv) {
     };
   }
   harness::SweepRunner runner{sopts};
-  const auto results = runner.run(points);
+  std::vector<harness::ExperimentResult> results;
+  try {
+    results = runner.run(points);
+  } catch (const std::exception& e) {
+    // A combination the flag checks above cannot see (say, a one-host
+    // fabric) is rejected by the harness while setting up the run.
+    std::fprintf(stderr, "amrt_sim: %s\n", e.what());
+    return 2;
+  }
 
   if (!fct_csv_path.empty()) {
     std::ofstream out{fct_csv_path};
