@@ -3,7 +3,8 @@
 // websearch workload under each receiver-driven transport. Reports raw event
 // throughput (events/sec), packet throughput (delivered data packets/sec)
 // and peak RSS, as google-benchmark-shaped JSON that
-// tools/bench_compare.py --scale can diff across builds.
+// tools/bench_compare.py --scale can diff across builds. Each row runs in
+// its own child process, so its peak RSS is that row's alone.
 //
 //   bench_scale [--k N] [--transport amrt|phost|homa|ndp|all]
 //               [--flows N] [--load F] [--shards N] [--repeat R]
@@ -26,6 +27,9 @@
 #include <fstream>
 #include <string>
 #include <vector>
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "core/factory.hpp"
 #include "harness/fidelity.hpp"
@@ -222,7 +226,7 @@ RunResult run_one_sharded(const Options& opt, transport::Protocol proto) {
 
 // Median-of-R by wall time (the simulation itself is deterministic per
 // mode, so only timing varies across repeats).
-RunResult run_repeated(const Options& opt, transport::Protocol proto, bool flow_fidelity) {
+RunResult run_repeated_here(const Options& opt, transport::Protocol proto, bool flow_fidelity) {
   std::vector<RunResult> runs;
   const int reps = opt.repeat < 1 ? 1 : opt.repeat;
   runs.reserve(static_cast<std::size_t>(reps));
@@ -234,6 +238,77 @@ RunResult run_repeated(const Options& opt, transport::Protocol proto, bool flow_
   std::sort(runs.begin(), runs.end(),
             [](const RunResult& a, const RunResult& b) { return a.real_ms < b.real_ms; });
   return runs[static_cast<std::size_t>(reps - 1) / 2];
+}
+
+// The fields of a RunResult as they cross the pipe from the child.
+struct WireResult {
+  char name[96];
+  double real_ms;
+  std::uint64_t events;
+  std::uint64_t delivered_pkts;
+  std::size_t flows;
+  std::size_t completed;
+  long peak_rss_kb;
+  unsigned shards;
+};
+
+// Runs one row in a forked child, so its peak_rss_mb (the child's VmHWM) is
+// that transport's peak alone. In one process VmHWM never falls, and every
+// row after the first would carry the largest earlier transport's peak. The
+// parent builds no simulation, so what a child inherits is a few MB.
+RunResult run_repeated(const Options& opt, transport::Protocol proto, bool flow_fidelity) {
+  int fds[2];
+  if (::pipe(fds) != 0) {
+    std::perror("bench_scale: pipe");
+    std::exit(1);
+  }
+  std::fflush(nullptr);
+  const pid_t pid = ::fork();
+  if (pid < 0) {
+    std::perror("bench_scale: fork");
+    std::exit(1);
+  }
+  if (pid == 0) {
+    ::close(fds[0]);
+    const RunResult r = run_repeated_here(opt, proto, flow_fidelity);
+    WireResult w{};
+    std::snprintf(w.name, sizeof w.name, "%s", r.name.c_str());
+    w.real_ms = r.real_ms;
+    w.events = r.events;
+    w.delivered_pkts = r.delivered_pkts;
+    w.flows = r.flows;
+    w.completed = r.completed;
+    w.peak_rss_kb = r.peak_rss_kb;
+    w.shards = r.shards;
+    const bool sent = ::write(fds[1], &w, sizeof w) == static_cast<ssize_t>(sizeof w);
+    std::fflush(nullptr);
+    ::_exit(sent ? 0 : 1);
+  }
+  ::close(fds[1]);
+  WireResult w{};
+  std::size_t got = 0;
+  while (got < sizeof w) {
+    const ssize_t n = ::read(fds[0], reinterpret_cast<char*>(&w) + got, sizeof w - got);
+    if (n <= 0) break;
+    got += static_cast<std::size_t>(n);
+  }
+  ::close(fds[0]);
+  int status = 0;
+  ::waitpid(pid, &status, 0);
+  if (got != sizeof w || !WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+    std::fprintf(stderr, "bench_scale: the %s run failed\n", transport::to_string(proto));
+    std::exit(1);
+  }
+  RunResult r;
+  r.name = w.name;
+  r.real_ms = w.real_ms;
+  r.events = w.events;
+  r.delivered_pkts = w.delivered_pkts;
+  r.flows = w.flows;
+  r.completed = w.completed;
+  r.peak_rss_kb = w.peak_rss_kb;
+  r.shards = w.shards;
+  return r;
 }
 
 void print_json(std::FILE* out, const Options& opt, const std::vector<RunResult>& results) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -10,19 +11,29 @@
 #include <ostream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 
 namespace amrt::harness {
 
 namespace {
+// The request, else AMRT_SWEEP_THREADS, else one per core. An empty
+// variable counts as unset; anything else must be one whole integer token.
 unsigned resolve_threads(unsigned requested) {
-  if (requested != 0) return requested;
-  if (const char* env = std::getenv("AMRT_SWEEP_THREADS")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v > 0) return static_cast<unsigned>(v);
+  constexpr unsigned kMax = SweepRunner::kMaxThreads;
+  if (requested != 0) return std::min(requested, kMax);
+  if (const char* env = std::getenv("AMRT_SWEEP_THREADS"); env != nullptr && *env != '\0') {
+    const std::string_view text{env};
+    unsigned v = 0;
+    const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), v);
+    if (ec != std::errc{} || ptr != text.data() + text.size() || v == 0 || v > kMax) {
+      throw std::invalid_argument("AMRT_SWEEP_THREADS expects an integer in [1, " +
+                                  std::to_string(kMax) + "], got '" + std::string{text} + "'");
+    }
+    return v;
   }
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
+  return hw == 0 ? 1 : std::min(hw, kMax);
 }
 }  // namespace
 
@@ -32,8 +43,8 @@ SweepRunner::SweepRunner(SweepOptions opts)
 void SweepRunner::for_each(std::size_t n, const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
 
-  const unsigned workers = static_cast<unsigned>(
-      std::min<std::size_t>(threads_, n));
+  // threads_ is already at most kMaxThreads.
+  const unsigned workers = static_cast<unsigned>(std::min<std::size_t>(threads_, n));
   std::atomic<std::size_t> next{0};
   std::size_t done = 0;  // guarded by mu
   std::mutex mu;         // guards done, first_error and the progress callback

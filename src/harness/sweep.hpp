@@ -24,7 +24,8 @@
 namespace amrt::harness {
 
 struct SweepOptions {
-  // 0 = one thread per hardware core.
+  // 0 = AMRT_SWEEP_THREADS if set, else one thread per hardware core.
+  // Capped at SweepRunner::kMaxThreads.
   unsigned threads = 0;
   // Called after each point completes (serialized; `done` points of `total`
   // are finished). For progress meters on long sweeps.
@@ -33,6 +34,12 @@ struct SweepOptions {
 
 class SweepRunner {
  public:
+  // Upper bound on worker threads, whatever was requested: each point is a
+  // whole simulation, so more workers than this only add contention.
+  static constexpr unsigned kMaxThreads = 256;
+
+  // Throws std::invalid_argument when the worker count falls back to an
+  // AMRT_SWEEP_THREADS that is not a whole integer in [1, kMaxThreads].
   explicit SweepRunner(SweepOptions opts = {});
 
   [[nodiscard]] unsigned threads() const { return threads_; }

@@ -6,16 +6,21 @@
 //
 // Layout: event records live in fixed slabs that never move, recycled
 // through a freelist. The priority structure is a two-level timing wheel
-// rather than a heap: a near window of 2us buckets (each a small vector
-// kept (time, seq)-sorted by insertion from the back) plus an unsorted far
-// list for events beyond the window, re-bucketed when the window advances
-// past them. Simulated traffic schedules almost everything a few link-times
-// ahead, so a push is an append to a ~3-entry bucket and a pop is a pointer
-// bump — O(1) against the O(log n) sift of a heap — while the global
-// (time, seq) firing order is exactly the heap's: buckets partition time,
-// and each bucket is totally ordered. Together with the small-buffer
-// `InplaceCallback` this makes steady-state push/pop allocation-free —
-// slabs and bucket capacity are retained across the whole run.
+// rather than a heap: a near window of 2us buckets plus an unsorted far list
+// for events beyond the window, re-bucketed when the window advances past
+// them. A push into a bucket ahead of the drain cursor is an O(1) append;
+// the bucket is sorted once, when the cursor reaches it. A push into the
+// cursor's own bucket goes to a short side run (`late_`) by ordered insert,
+// and the cursor drains the two sorted runs as one merge. The sizes come
+// from a k=16 fat-tree, where every packet delivery lands ~100us ahead:
+// ~60k events pend, a push finds ~500 entries in its bucket, and the side
+// run stays under ~300. Keeping every bucket sorted by insertion shifted
+// ~140 entries per push there; this layout shifts ~2.5. The global
+// (time, seq) firing order is exactly a heap's: buckets partition time, and
+// the cursor's two runs are each totally ordered. Together with the
+// small-buffer `InplaceCallback` this makes steady-state push/pop
+// allocation-free — slabs and bucket capacity are retained across the
+// whole run.
 //
 // Handles are weak references carrying a generation counter: destroying a
 // Handle does not cancel the event, and a Handle whose slot has been
@@ -119,6 +124,7 @@ class EventQueue {
     // bucket the entry lives in.
     const Entry top = *head;
     consume_head();
+    prefetch_head();
     const std::uint32_t slot = entry_slot(top);
     --live_;
     if ((slot & kRawFlag) != 0) {
@@ -186,54 +192,83 @@ class EventQueue {
 
   // Wheel geometry: 512 buckets of 2us cover a ~1ms near window — wider
   // than any link tx time, propagation delay, or RTT in the experiments, so
-  // only long recovery backoffs ever take the far path. Coarser, fewer
-  // buckets beat finer, more: sorted insertion into a ~10-entry bucket is
-  // still a short back-scan, while bucket vectors are allocated (and freed)
-  // once per simulation each.
+  // only long recovery backoffs ever take the far path. Finer buckets sort
+  // less per event but retain more vector capacity: 256ns x 4096 raised
+  // the k=16 peak RSS by 4.4 MB.
   static constexpr int kBucketShift = 11;  // 2048 ns per bucket
   static constexpr std::size_t kBuckets = 512;
   static constexpr std::int64_t kBucketNs = std::int64_t{1} << kBucketShift;
   static constexpr std::size_t kWords = kBuckets / 64;
+  static constexpr std::size_t kMinSortScratch = 4096;  // entries (64 KB)
 
+  // The drain cursor reads its bucket as two (when, seq)-sorted runs merged
+  // on the fly: the bucket itself, sorted once when the cursor reached it,
+  // and `late_`, the events pushed into that bucket since. Returns the
+  // earlier of the two heads (nullptr when both runs are spent) and records
+  // which run it came from for consume_head().
+  [[nodiscard]] const Entry* head_entry() {
+    const std::vector<Entry>& b = buckets_[cur_];
+    const Entry* e = drain_idx_ < b.size() ? &b[drain_idx_] : nullptr;
+    head_late_ = late_idx_ < late_.size() && (e == nullptr || after(*e, late_[late_idx_]));
+    return head_late_ ? &late_[late_idx_] : e;
+  }
   // Positions the drain cursor on the earliest live entry, reclaiming
   // cancelled entries it passes; returns nullptr when no events remain. The
   // hot case — cursor already on a live entry — stays inline.
   [[nodiscard]] const Entry* peek_live() {
     for (;;) {
-      std::vector<Entry>& b = buckets_[cur_];
-      if (drain_idx_ < b.size()) {
-        const Entry& e = b[drain_idx_];
-        // Raw events cannot be cancelled, so they are live by construction.
-        const std::uint32_t slot = entry_slot(e);
-        if ((slot & kRawFlag) != 0 || record(slot).live) return &e;
-        recycle_slot(slot);  // cancelled: reclaim lazily
-        ++drain_idx_;
-        --entry_count_;
+      const Entry* e = head_entry();
+      if (e == nullptr) {
+        if (!advance_bucket()) return nullptr;
         continue;
       }
-      if (!advance_bucket()) return nullptr;
+      // Raw events cannot be cancelled, so they are live by construction.
+      const std::uint32_t slot = entry_slot(*e);
+      if ((slot & kRawFlag) != 0 || record(slot).live) return e;
+      recycle_slot(slot);  // cancelled: reclaim lazily
+      consume_head();
     }
   }
   void consume_head() {
-    ++drain_idx_;
+    ++(head_late_ ? late_idx_ : drain_idx_);
     --entry_count_;
   }
+  // Starts loading the record the next fire_next will touch while the
+  // current callback runs: at k=16 the pending records (~8 MB) far exceed
+  // L2, so that record is usually a miss.
+  void prefetch_head() {
+    const Entry* e = head_entry();
+    if (e == nullptr) return;
+    const std::uint32_t slot = entry_slot(*e);
+    if ((slot & kRawFlag) != 0) {
+      __builtin_prefetch(&raw_recs_[slot & ~kRawFlag]);
+    } else {
+      const Record& rec = record(slot);
+      __builtin_prefetch(&rec);
+      __builtin_prefetch(&rec.live);
+    }
+  }
 
-  // Keeps the bucket (when, seq)-sorted. Pushes mostly carry later
-  // timestamps and always carry later sequence numbers than what a bucket
-  // already holds, so the back-to-front scan usually stops immediately. The
-  // scan can never cross the drain cursor: every entry the cursor has passed
-  // fired at or before the current simulation time, and new events are never
-  // scheduled in the past, so they compare (time, seq)-after that prefix.
-  void insort(std::size_t idx, const Entry& e) {
-    std::vector<Entry>& b = buckets_[idx];
-    std::size_t pos = b.size();
-    b.push_back(e);
-    while (pos > 0 && after(b[pos - 1], e)) {
-      b[pos] = b[pos - 1];
+  // Ordered insert into the cursor bucket's late run, which is sorted from
+  // `late_idx_` on. Pushes mostly carry later timestamps and always carry
+  // later sequence numbers than what the run already holds, so the
+  // back-to-front scan usually stops at once. It must stop at `late_idx_`:
+  // the prefix behind it holds fired entries and also cancelled ones that
+  // peek_live skipped, which may carry timestamps later than the new event.
+  // Keeping these pushes out of the sorted bucket is what keeps them cheap:
+  // at k=16 an insert into the bucket itself would shift ~250 entries.
+  void insort_late(const Entry& e) {
+    std::size_t pos = late_.size();
+    late_.push_back(e);
+    while (pos > late_idx_ && after(late_[pos - 1], e)) {
+      late_[pos] = late_[pos - 1];
       --pos;
     }
-    b[pos] = e;
+    late_[pos] = e;
+  }
+  // A bucket ahead of the cursor stays unsorted until the cursor reaches it.
+  void append(std::size_t idx, const Entry& e) {
+    buckets_[idx].push_back(e);
     occupied_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
   }
 
@@ -243,22 +278,25 @@ class EventQueue {
     if (entry_count_ == 1) [[unlikely]] {
       rebase_empty(when_ns);
     }
-    std::int64_t idx = (when_ns - base_ns_) >> kBucketShift;
+    const std::int64_t idx = (when_ns - base_ns_) >> kBucketShift;
     if (idx >= static_cast<std::int64_t>(kBuckets)) [[unlikely]] {
       if (far_.empty() || when_ns < far_min_ns_) far_min_ns_ = when_ns;
       far_.push_back(e);
       return;
     }
-    // An event earlier than the cursor's bucket (possible when the window
-    // was anchored ahead of the clock) still fires in order: fold it into
-    // the current bucket, where the sorted insert puts it ahead of every
-    // later-timestamped entry.
-    if (idx < static_cast<std::int64_t>(cur_)) idx = static_cast<std::int64_t>(cur_);
-    insort(static_cast<std::size_t>(idx), e);
+    if (idx > static_cast<std::int64_t>(cur_)) {
+      append(static_cast<std::size_t>(idx), e);
+      return;
+    }
+    // The cursor's bucket — or an earlier one, possible when next_time()
+    // moved the cursor ahead of the clock: such an event still fires in
+    // order, since the buckets between it and the cursor are empty.
+    insort_late(e);
   }
 
   void rebase_empty(std::int64_t when_ns);
   bool advance_bucket();
+  void sort_cursor_bucket();
 
   // Raw-lane side records. While free, `ctx` doubles as the freelist link
   // (stored as an index widened to a pointer-sized integer).
@@ -303,14 +341,21 @@ class EventQueue {
   std::size_t live_ = 0;
 
   // The wheel. `base_ns_` is bucket 0's window start (bucket-aligned);
-  // `cur_`/`drain_idx_` are the drain cursor. Buckets behind the cursor are
-  // empty; the bitmap tracks non-empty buckets at/ahead of it. `far_` holds
-  // events past the window (unsorted; re-bucketed when the window advances).
+  // `cur_` is the drain cursor's bucket, drained through `drain_idx_` and,
+  // for events pushed into it after the cursor arrived, `late_idx_` into
+  // `late_`. Buckets behind the cursor are empty; buckets ahead of it are
+  // unsorted; the bitmap marks the non-empty ones among them. `far_`
+  // holds events past the window (unsorted; re-bucketed when the window
+  // advances).
   std::vector<std::vector<Entry>> buckets_;
   std::array<std::uint64_t, kWords> occupied_{};
   std::int64_t base_ns_ = 0;
   std::size_t cur_ = 0;
   std::size_t drain_idx_ = 0;
+  std::vector<Entry> late_;
+  std::size_t late_idx_ = 0;
+  bool head_late_ = false;  // which run head_entry() last returned
+  std::vector<Entry> sort_tmp_;  // scratch for sort_cursor_bucket()
   std::size_t entry_count_ = 0;
   std::vector<Entry> far_;
   std::int64_t far_min_ns_ = 0;

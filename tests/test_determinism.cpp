@@ -9,6 +9,8 @@
 #include <cstdlib>
 #include <iterator>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "harness/sweep.hpp"
@@ -280,4 +282,30 @@ TEST(SweepRunner, ThreadsResolveFromEnv) {
   harness::SweepRunner explicit_threads{opts};
   EXPECT_EQ(explicit_threads.threads(), 5u);
   ::unsetenv("AMRT_SWEEP_THREADS");
+}
+
+// AMRT_SWEEP_THREADS is one whole integer token in [1, kMaxThreads]; an
+// empty value counts as unset. Only runners are built here — no worker
+// thread starts.
+TEST(SweepRunner, EnvThreadsRejectPartialTokens) {
+  constexpr unsigned kMax = harness::SweepRunner::kMaxThreads;
+  for (const char* bad : {"4x", "x4", " 4", "4 ", "-1", "0", "2.5", "257", "99999999999"}) {
+    ::setenv("AMRT_SWEEP_THREADS", bad, 1);
+    EXPECT_THROW(harness::SweepRunner{}, std::invalid_argument) << "'" << bad << "'";
+  }
+  ::setenv("AMRT_SWEEP_THREADS", std::to_string(kMax).c_str(), 1);
+  EXPECT_EQ(harness::SweepRunner{}.threads(), kMax);
+  ::setenv("AMRT_SWEEP_THREADS", "", 1);
+  EXPECT_GE(harness::SweepRunner{}.threads(), 1u);
+  ::unsetenv("AMRT_SWEEP_THREADS");
+}
+
+// However many threads are requested, a runner holds at most kMaxThreads
+// workers (checked on the count, without starting them).
+TEST(SweepRunner, ThreadRequestIsCapped) {
+  harness::SweepOptions opts;
+  opts.threads = 1'000'000;
+  EXPECT_EQ(harness::SweepRunner{opts}.threads(), harness::SweepRunner::kMaxThreads);
+  opts.threads = harness::SweepRunner::kMaxThreads;
+  EXPECT_EQ(harness::SweepRunner{opts}.threads(), harness::SweepRunner::kMaxThreads);
 }

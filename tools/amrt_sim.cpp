@@ -71,8 +71,10 @@ void usage() {
       "  --shards=N                    partition the fabric across N shard threads\n"
       "                                (default 1 = serial; excludes --faults; sharded\n"
       "                                runs report utilization as 0 — see DESIGN.md §12)\n"
-      "  --seeds=N                     sweep seeds S..S+N-1 in parallel (default 1)\n"
-      "  --threads=N                   sweep worker threads (0 = one per core)\n"
+      "  --seeds=N                     sweep seeds S..S+N-1 in parallel (default 1,\n"
+      "                                at most 100000)\n"
+      "  --threads=N                   sweep worker threads (0 = one per core, at most\n"
+      "                                256)\n"
       "  --json=PATH                   dump sweep results as JSON\n"
       "  --csv                         machine-readable one-line-per-point output\n"
       "  --fct-csv=PATH                dump per-flow completion records (first point)\n");
@@ -93,6 +95,8 @@ bool match(const std::string& arg, const char* prefix, std::string& value) {
 constexpr std::size_t kMaxFlows = 100'000'000;
 constexpr std::int64_t kMaxLinkGbps = 1'000'000;         // 1 Pb/s
 constexpr std::int64_t kMaxLinkDelayUs = 1'000'000'000;  // 1000 s
+// A seed sweep builds every point up front.
+constexpr std::size_t kMaxSeeds = 100'000;
 
 // Numeric flags parse as one whole token: trailing characters ("10x"), a
 // fraction for a count ("1.5") and a sign on an unsigned flag ("-1") are
@@ -227,9 +231,9 @@ int main(int argc, char** argv) {
       } else if (match(arg, "--shards=", v)) {
         cfg.shards = bounded("--shards", v, 1u);
       } else if (match(arg, "--seeds=", v)) {
-        n_seeds = bounded<std::size_t>("--seeds", v, 1);
+        n_seeds = bounded<std::size_t>("--seeds", v, 1, kMaxSeeds);
       } else if (match(arg, "--threads=", v)) {
-        threads = parse_number<unsigned>("--threads", v);
+        threads = bounded("--threads", v, 0u, harness::SweepRunner::kMaxThreads);
       } else if (match(arg, "--json=", v)) {
         json_path = v;
       } else if (match(arg, "--fct-csv=", v)) {
@@ -306,13 +310,14 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "  amrt_sim %zu/%zu\n", done, total);
     };
   }
-  harness::SweepRunner runner{sopts};
   std::vector<harness::ExperimentResult> results;
   try {
+    harness::SweepRunner runner{sopts};
     results = runner.run(points);
   } catch (const std::exception& e) {
     // A combination the flag checks above cannot see (say, a one-host
-    // fabric) is rejected by the harness while setting up the run.
+    // fabric), or a malformed AMRT_SWEEP_THREADS, is rejected by the
+    // harness before any point runs.
     std::fprintf(stderr, "amrt_sim: %s\n", e.what());
     return 2;
   }
