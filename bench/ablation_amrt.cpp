@@ -37,7 +37,7 @@ DynamicConfig base_dynamic() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = harness::parse_bench_options(argc, argv);
+  const auto opts = harness::bench_options_or_exit(argc, argv);
   harness::SweepRunner runner = harness::make_bench_runner(opts, "ablation");
 
   std::printf("Ablation 1: anti-ECN marking threshold (probe bytes)\n");

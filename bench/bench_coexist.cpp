@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "harness/experiment.hpp"
+#include "harness/options.hpp"
 
 using namespace amrt;
 
@@ -109,6 +110,12 @@ void print_json(std::FILE* out, const Options& opt, const std::vector<ModeResult
   std::fprintf(out, "  ]\n}\n");
 }
 
+// A numeric flag value, parsed as one whole token; a malformed one exits 2.
+template <typename T>
+T num(const char* flag, const char* text) {
+  return harness::parse_number_or_exit<T>("bench_coexist", flag, text);
+}
+
 void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--leaves N] [--spines N] [--hosts-per-leaf N] [--flows N]\n"
@@ -130,19 +137,19 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--leaves") {
-      opt.leaves = std::atoi(next());
+      opt.leaves = num<int>("--leaves", next());
     } else if (arg == "--spines") {
-      opt.spines = std::atoi(next());
+      opt.spines = num<int>("--spines", next());
     } else if (arg == "--hosts-per-leaf") {
-      opt.hosts_per_leaf = std::atoi(next());
+      opt.hosts_per_leaf = num<int>("--hosts-per-leaf", next());
     } else if (arg == "--flows") {
-      opt.flows = static_cast<std::size_t>(std::atoll(next()));
+      opt.flows = num<std::size_t>("--flows", next());
     } else if (arg == "--load") {
-      opt.load = std::atof(next());
+      opt.load = num<double>("--load", next());
     } else if (arg == "--seed") {
-      opt.seed = static_cast<std::uint64_t>(std::atoll(next()));
+      opt.seed = num<std::uint64_t>("--seed", next());
     } else if (arg == "--fraction") {
-      opt.fraction = std::atof(next());
+      opt.fraction = num<double>("--fraction", next());
       if (opt.fraction <= 0.0 || opt.fraction >= 1.0) {
         std::fprintf(stderr, "bench_coexist: --fraction must be in (0, 1)\n");
         return 2;

@@ -33,6 +33,7 @@
 
 #include "core/factory.hpp"
 #include "harness/fidelity.hpp"
+#include "harness/options.hpp"
 #include "harness/sharded.hpp"
 #include "net/partition.hpp"
 #include "net/topology.hpp"
@@ -340,6 +341,12 @@ void print_json(std::FILE* out, const Options& opt, const std::vector<RunResult>
   std::fprintf(out, "  ]\n}\n");
 }
 
+// A numeric flag value, parsed as one whole token; a malformed one exits 2.
+template <typename T>
+T num(const char* flag, const char* text) {
+  return harness::parse_number_or_exit<T>("bench_scale", flag, text);
+}
+
 void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--k N] [--transport amrt|phost|homa|ndp|all] [--flows N]\n"
@@ -362,25 +369,25 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--k") {
-      opt.k = std::atoi(next());
+      opt.k = num<int>("--k", next());
     } else if (arg == "--transport") {
       const std::string v = next();
       if (v != "all") opt.protocols = {transport::protocol_from_string(v)};
     } else if (arg == "--flows") {
-      opt.flows = static_cast<std::size_t>(std::atoll(next()));
+      opt.flows = num<std::size_t>("--flows", next());
     } else if (arg == "--load") {
-      opt.load = std::atof(next());
+      opt.load = num<double>("--load", next());
     } else if (arg == "--seed") {
-      opt.seed = static_cast<std::uint64_t>(std::atoll(next()));
+      opt.seed = num<std::uint64_t>("--seed", next());
     } else if (arg == "--shards") {
-      const int v = std::atoi(next());
+      const int v = num<int>("--shards", next());
       if (v < 1) {
         std::fprintf(stderr, "bench_scale: --shards must be >= 1\n");
         return 2;
       }
       opt.shards = static_cast<unsigned>(v);
     } else if (arg == "--repeat") {
-      opt.repeat = std::atoi(next());
+      opt.repeat = num<int>("--repeat", next());
       if (opt.repeat < 1) {
         std::fprintf(stderr, "bench_scale: --repeat must be >= 1\n");
         return 2;

@@ -41,7 +41,7 @@ harness::TimelineResult run(transport::Protocol proto, std::uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = harness::parse_bench_options(argc, argv);
+  const auto opts = harness::bench_options_or_exit(argc, argv);
   harness::SweepRunner runner = harness::make_bench_runner(opts, "fig01");
   const std::vector<transport::Protocol> protos{transport::Protocol::kPhost,
                                                 transport::Protocol::kAmrt};

@@ -18,7 +18,7 @@
 using namespace amrt;
 
 int main(int argc, char** argv) {
-  const auto opts = harness::parse_bench_options(argc, argv);
+  const auto opts = harness::bench_options_or_exit(argc, argv);
   const double C = 1e9;      // 1 Gbps
   const double rtt = 100e-6; // 100 us
   const double sizes[] = {100e3, 1e6, 10e6};

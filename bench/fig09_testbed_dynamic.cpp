@@ -19,7 +19,7 @@ using harness::DynamicConfig;
 using harness::DynamicFlow;
 
 int main(int argc, char** argv) {
-  const auto opts = harness::parse_bench_options(argc, argv);
+  const auto opts = harness::bench_options_or_exit(argc, argv);
   using sim::Duration;
 
   // The two bottlenecks are independent; model them as two runs of the

@@ -34,7 +34,7 @@ std::size_t base_flows(workload::Kind k) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = harness::parse_bench_options(argc, argv);
+  const auto opts = harness::bench_options_or_exit(argc, argv);
   std::vector<double> loads = opts.loads;
   if (loads.empty()) loads = opts.paper_scale ? std::vector<double>{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7}
                                               : std::vector<double>{0.3, 0.5, 0.7};

@@ -21,7 +21,7 @@ constexpr transport::Protocol kProtos[] = {transport::Protocol::kPhost, transpor
 }
 
 int main(int argc, char** argv) {
-  const auto opts = harness::parse_bench_options(argc, argv);
+  const auto opts = harness::bench_options_or_exit(argc, argv);
   std::vector<std::size_t> flow_counts =
       opts.paper_scale ? std::vector<std::size_t>{100, 200, 400, 800}
                        : std::vector<std::size_t>{100, 200, 400};

@@ -35,7 +35,7 @@ constexpr Variant kVariants[] = {{transport::Protocol::kHoma, 2},
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = harness::parse_bench_options(argc, argv);
+  const auto opts = harness::bench_options_or_exit(argc, argv);
   // Paper averages 50 repetitions; the default keeps 5 for speed.
   const int repeats = opts.paper_scale ? 50 : std::max(1, static_cast<int>(5 * opts.scale));
 

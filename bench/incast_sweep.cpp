@@ -15,7 +15,7 @@
 using namespace amrt;
 
 int main(int argc, char** argv) {
-  const auto opts = harness::parse_bench_options(argc, argv);
+  const auto opts = harness::bench_options_or_exit(argc, argv);
   harness::Table table{{"senders", "proto", "afct_us", "p99_us", "completed", "max_queue", "drops",
                         "trims", "goodput_gbps"}};
 

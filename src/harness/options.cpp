@@ -1,6 +1,7 @@
 #include "harness/options.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -13,7 +14,7 @@ std::vector<double> parse_list(const std::string& s) {
   while (pos < s.size()) {
     std::size_t next = s.find(',', pos);
     if (next == std::string::npos) next = s.size();
-    out.push_back(std::stod(s.substr(pos, next - pos)));
+    out.push_back(parse_number<double>("--loads", s.substr(pos, next - pos)));
     pos = next + 1;
   }
   return out;
@@ -29,7 +30,7 @@ std::size_t BenchOptions::scaled(std::size_t base) const {
 BenchOptions parse_bench_options(int argc, char** argv) {
   BenchOptions opts;
   if (const char* env = std::getenv("AMRT_BENCH_SCALE"); env != nullptr) {
-    opts.scale = std::stod(env);
+    opts.scale = parse_number<double>("AMRT_BENCH_SCALE", env);
   }
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -42,15 +43,15 @@ BenchOptions parse_bench_options(int argc, char** argv) {
     } else if (arg == "--csv") {
       opts.csv = true;
     } else if (auto flows = value_of("--flows=")) {
-      opts.flows = static_cast<std::size_t>(std::stoull(*flows));
+      opts.flows = parse_number<std::size_t>("--flows", *flows);
     } else if (auto seed = value_of("--seed=")) {
-      opts.seed = std::stoull(*seed);
+      opts.seed = parse_number<std::uint64_t>("--seed", *seed);
     } else if (auto loads = value_of("--loads=")) {
       opts.loads = parse_list(*loads);
     } else if (auto scale = value_of("--scale=")) {
-      opts.scale = std::stod(*scale);
+      opts.scale = parse_number<double>("--scale", *scale);
     } else if (auto threads = value_of("--threads=")) {
-      opts.threads = static_cast<unsigned>(std::stoul(*threads));
+      opts.threads = parse_number<unsigned>("--threads", *threads);
     } else if (auto json = value_of("--json=")) {
       opts.json_path = *json;
     } else if (arg == "--help" || arg == "-h") {
@@ -61,6 +62,15 @@ BenchOptions parse_bench_options(int argc, char** argv) {
     // Unknown flags are ignored so google-benchmark style flags pass through.
   }
   return opts;
+}
+
+BenchOptions bench_options_or_exit(int argc, char** argv) {
+  try {
+    return parse_bench_options(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s: %s\n", argc > 0 ? argv[0] : "bench", e.what());
+    std::exit(2);
+  }
 }
 
 }  // namespace amrt::harness

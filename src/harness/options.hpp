@@ -11,15 +11,55 @@
 //                      ExperimentConfig points)
 // plus AMRT_BENCH_SCALE (a float multiplier on flow counts) and
 // AMRT_SWEEP_THREADS from the environment, so CI can shrink everything
-// uniformly.
+// uniformly. Every numeric value, here and in the other binaries' flags,
+// goes through parse_number.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 namespace amrt::harness {
+
+// Parses `text` as one whole number of type T. Trailing characters ("16x"),
+// a fraction for a count ("1.5") and a sign on an unsigned flag ("-1") are
+// errors, never a silent prefix parse or a wrap-around to a huge count. The
+// std::invalid_argument names `flag`.
+template <typename T>
+T parse_number(const std::string& flag, const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec == std::errc::result_out_of_range) {
+    throw std::invalid_argument(flag + " is out of range: '" + text + "'");
+  }
+  if (ec != std::errc{} || ptr != end) {
+    const char* kind = !std::is_integral_v<T> ? "a number"
+                       : std::is_signed_v<T>  ? "an integer"
+                                              : "a non-negative integer";
+    throw std::invalid_argument(flag + " expects " + kind + ", got '" + text + "'");
+  }
+  return value;
+}
+
+// parse_number for a hand-rolled argv loop: a malformed value prints
+// "<prog>: <message>" to stderr and exits 2.
+template <typename T>
+T parse_number_or_exit(const char* prog, const std::string& flag, const std::string& text) {
+  try {
+    return parse_number<T>(flag, text);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s: %s\n", prog, e.what());
+    std::exit(2);
+  }
+}
 
 struct BenchOptions {
   bool paper_scale = false;
@@ -35,6 +75,11 @@ struct BenchOptions {
   [[nodiscard]] std::size_t scaled(std::size_t base) const;
 };
 
+// Throws std::invalid_argument on a malformed value (and, with the usage
+// line, on --help).
 [[nodiscard]] BenchOptions parse_bench_options(int argc, char** argv);
+// parse_bench_options for a bench's main: a rejected command line prints
+// "<argv[0]>: <message>" to stderr and exits 2.
+[[nodiscard]] BenchOptions bench_options_or_exit(int argc, char** argv);
 
 }  // namespace amrt::harness

@@ -17,7 +17,7 @@ PortId Network::new_port(EgressPort::Config cfg, EgressQueue queue) {
   // The queue's audit shadow is keyed by its pool slot (== the port slot).
   queue.audit_bind(sched_.auditor(), static_cast<std::uint32_t>(id));
   queues_.push_back(std::make_unique<EgressQueue>(std::move(queue)));
-  ports_.emplace_back(sched_, cfg, *queues_.back());
+  ports_.emplace_back(sched_, cfg, *queues_.back(), *wire_pools_.front());
   return id;
 }
 

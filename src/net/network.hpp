@@ -14,6 +14,9 @@
 //                                         port and ThresholdEcnMarker point
 //                                         at it)
 //
+// plus the wire pools (net/wire.hpp) that hold the packets in flight: one
+// for a serial run, one per shard once a ShardedRunner binds the fabric.
+//
 // Addressing is index-based throughout: a NodeId is a dense index into the
 // directory (`dir_`), which maps it to a {kind, pool slot} pair, so packet
 // delivery is two indexed loads and a direct (devirtualized) call — no hash
@@ -47,7 +50,9 @@ namespace amrt::net {
 
 class Network {
  public:
-  explicit Network(sim::Simulation& sim) : sim_{sim}, sched_{sim.scheduler()} {}
+  explicit Network(sim::Simulation& sim) : sim_{sim}, sched_{sim.scheduler()} {
+    wire_pools_.push_back(std::make_unique<WirePool>());
+  }
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
@@ -121,6 +126,13 @@ class Network {
   // slot 1). Derived on demand; the pools store no strings.
   [[nodiscard]] std::string label(NodeId id) const;
 
+  // The wire pool of shard `shard` (0: the serial run's), created on first
+  // use. Pool 0 backs every port until a sharded run rebinds them.
+  [[nodiscard]] WirePool& wire_pool(std::size_t shard) {
+    while (wire_pools_.size() <= shard) wire_pools_.push_back(std::make_unique<WirePool>());
+    return *wire_pools_[shard];
+  }
+
   [[nodiscard]] sim::Simulation& simulation() { return sim_; }
   [[nodiscard]] sim::Scheduler& scheduler() { return sched_; }
 
@@ -141,6 +153,7 @@ class Network {
   std::vector<EgressPort> ports_;
   std::vector<std::unique_ptr<EgressQueue>> queues_;  // slot-parallel to ports_
   std::vector<NodeRef> dir_;                          // indexed by NodeId.value
+  std::vector<std::unique_ptr<WirePool>> wire_pools_;  // [shard]
   LinkState link_state_;
   std::uint32_t next_id_ = 0;
 };

@@ -37,49 +37,52 @@ inline constexpr std::uint32_t kHeaderBytes = 40;
 inline constexpr std::uint32_t kMssBytes = kMtuBytes - kHeaderBytes;  // payload per full packet
 inline constexpr std::uint32_t kCtrlBytes = 64;
 
+// 64 bytes in every build: the eight-byte fields first, then the ids, the
+// 16-bit sizes, and the header bits packed into one byte. Every queue slot
+// and every wire cell holds one by value.
 struct Packet {
   FlowId flow = 0;
-  std::uint32_t seq = 0;       // data: packet index within the flow; grant: grant serial
-  std::uint32_t wire_bytes = 0;
-  std::uint32_t payload_bytes = 0;
-  PacketType type = PacketType::kData;
-  NodeId src{};
-  NodeId dst{};
-
-  // --- priority / ECN state (switch-visible header bits) ---
-  std::uint8_t priority = 0;   // 0 = highest; strict-priority queues (Homa)
-  bool ecn_capable = false;    // AMRT data packets participate in anti-ECN marking
-  bool ce = false;             // anti-ECN: senders emit CE=1, switches AND it down (Eq. 3)
-  // Conventional threshold ECN (DCTCP): senders emit CE=0, switches OR it up
-  // when the egress backlog is deep. Mutually exclusive with the anti-ECN
-  // interpretation above, so mixed fabrics carry both semantics side by side
-  // and each marker acts only on its own packets.
-  bool threshold_ecn = false;
-  bool trimmed = false;        // NDP: payload removed by an overloaded queue
-  bool unscheduled = false;    // sent blind in the first BDP (Aeolus-style drop preference)
+  sim::TimePoint created{};
 
   // --- grant fields (receiver -> sender) ---
-  bool marked_grant = false;       // AMRT: echo of the data packet's CE bit
-  std::uint16_t allowance = 1;     // number of new data packets this grant triggers
   std::int64_t request_seq = -1;   // >=0: retransmit exactly this sequence number
   std::uint64_t grant_offset = 0;  // Homa: authorized byte offset
 
   // --- flow metadata (first packet / RTS advertising) ---
   std::uint64_t flow_bytes = 0;
 
-  sim::TimePoint created{};
+  std::uint32_t seq = 0;  // data: packet index within the flow; grant: grant serial
+  NodeId src{};
+  NodeId dst{};
+  std::uint16_t wire_bytes = 0;     // at most kMtuBytes
+  std::uint16_t payload_bytes = 0;  // at most kMssBytes
+  std::uint16_t allowance = 1;      // grant: number of new data packets it triggers
+  PacketType type = PacketType::kData;
 
+  // --- priority / ECN state (switch-visible header bits) ---
+  std::uint8_t priority = 0;  // 0 = highest; strict-priority queues (Homa)
+  bool ecn_capable : 1 = false;  // AMRT data packets participate in anti-ECN marking
+  bool ce : 1 = false;           // anti-ECN: senders emit CE=1, switches AND it down (Eq. 3)
+  // Conventional threshold ECN (DCTCP): senders emit CE=0, switches OR it up
+  // when the egress backlog is deep. Mutually exclusive with the anti-ECN
+  // interpretation above, so mixed fabrics carry both semantics side by side
+  // and each marker acts only on its own packets.
+  bool threshold_ecn : 1 = false;
+  bool trimmed : 1 = false;      // NDP: payload removed by an overloaded queue
+  bool unscheduled : 1 = false;  // sent blind in the first BDP (Aeolus-style drop preference)
+  bool marked_grant : 1 = false;  // AMRT grant: echo of the data packet's CE bit
 #ifdef AMRT_AUDIT
   // Audit builds only: the AND of every hop's anti-ECN verdict, maintained
   // in parallel with `ce` so the auditor can verify Eq. 3 end to end. Lives
   // on the packet copy (not in the ledger) because a retransmission of the
   // same (flow, seq) may see different hop verdicts than the original.
-  bool audit_ce_expected = false;
+  bool audit_ce_expected : 1 = false;
 #endif
 
   [[nodiscard]] bool is_control() const { return type != PacketType::kData || trimmed; }
   [[nodiscard]] std::string str() const;
 };
+static_assert(sizeof(Packet) <= 64, "Packet grew past one cache line");
 
 // Number of MSS-sized packets needed to carry `bytes` of payload.
 [[nodiscard]] constexpr std::uint32_t packets_for_bytes(std::uint64_t bytes) {

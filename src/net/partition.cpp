@@ -130,7 +130,7 @@ void ShardedRunner::bind() {
     EgressPort& port = net_.port_at(static_cast<PortId>(p));
     const std::uint32_t s = part_.port_shard[p];
     sim::Scheduler& sched = shards_.shard(s).scheduler();
-    port.rebind_scheduler(sched);
+    port.rebind_shard(sched, net_.wire_pool(s));
     // The queue's audit hook fires on the owning shard's thread; re-point it
     // at that shard's auditor (no-op without AMRT_AUDIT).
     port.queue_mut().audit_bind(&shards_.shard(s).auditor(), static_cast<std::uint32_t>(p));

@@ -8,10 +8,11 @@
 
 namespace amrt::net {
 
-EgressPort::EgressPort(sim::Scheduler& sched, Config cfg, EgressQueue& queue)
+EgressPort::EgressPort(sim::Scheduler& sched, Config cfg, EgressQueue& queue, WirePool& wire)
     : sched_{&sched},
-      cfg_{cfg},
+      wire_{&wire},
       queue_{&queue},
+      cfg_{cfg},
       effective_rate_{cfg_.rate} {
   if (cfg_.rate.bits_per_second() <= 0) throw std::invalid_argument("EgressPort requires a positive rate");
   if (cfg_.tx_jitter > sim::Duration::zero()) {
@@ -68,8 +69,8 @@ void EgressPort::set_link_up(bool up) {
   if (up == link_up_) return;
   link_up_ = up;
   // Going down spills the queue: those packets were committed to a link
-  // that no longer exists. The transmission already serializing (bits on
-  // the wire) is left to deliver — real links lose the queue, not photons.
+  // that no longer exists. Packets already transmitted (bits on the wire)
+  // are left to deliver — real links lose the queue, not photons.
   if (!up) packets_faulted_ += queue_->flush_faulted();
 }
 
@@ -107,6 +108,48 @@ void EgressPort::on_wakeup() {
     return;
   }
   start_next_transmission();
+}
+
+void EgressPort::launch(std::int64_t deliver_ns, Packet&& pkt) {
+  const std::uint64_t seq = sched_->reserve_seq();
+  const std::uint32_t c = wire_->alloc(deliver_ns, seq, std::move(pkt));
+  if (wire_head_ == WirePool::kNil) {
+    wire_head_ = wire_tail_ = c;
+    sched_->at_raw(sim::TimePoint::from_ns(deliver_ns), &EgressPort::on_wire_head, this, seq);
+  } else {
+    // Deliveries along one wire strictly increase (the serializer only
+    // moves forward and every transmission takes time), so appending keeps
+    // the list in firing order.
+    assert((*wire_)[wire_tail_].deliver_ns < deliver_ns);
+    (*wire_)[wire_tail_].next = c;
+    wire_tail_ = c;
+  }
+}
+
+void EgressPort::on_wire_head(void* p) {
+  auto* port = static_cast<EgressPort*>(p);
+  WirePool& wire = *port->wire_;
+  WirePool::Cell& head = wire[port->wire_head_];
+  const auto next = static_cast<std::uint32_t>(head.next);
+  // The next cell was written a propagation delay ago and is rarely still
+  // cached; start loading it now and read it after the delivery.
+  if (next != WirePool::kNil) __builtin_prefetch(&wire[next]);
+  Packet pkt = std::move(head.pkt);
+  // Released before the delivery, so a transmission it triggers reuses the
+  // cell while it is hot.
+  wire.release(port->wire_head_);
+  port->wire_head_ = next;
+  if (next == WirePool::kNil) port->wire_tail_ = WirePool::kNil;
+  port->deliver_to_peer(std::move(pkt));
+  // Nothing on this wire fires before the next cell's own time, which is
+  // strictly later than now, so arming it after the delivery keeps the
+  // order exact. A packet launched during the delivery either arms itself
+  // (the wire was empty) or queues behind `next`.
+  if (next != WirePool::kNil) {
+    const WirePool::Cell& n = wire[next];
+    port->sched_->at_raw(sim::TimePoint::from_ns(n.deliver_ns), &EgressPort::on_wire_head, port,
+                         n.seq);
+  }
 }
 
 void EgressPort::deliver_to_peer(Packet&& pkt) {
@@ -149,9 +192,8 @@ void EgressPort::start_next_transmission() {
   last_tx_end_ = busy_until_;
   if (!queue_->empty()) ensure_wakeup();
 
-  // Delivery at the peer after serialization + propagation. The packet moves
-  // once, and the lambda fits the scheduler's inline callback buffer. `this`
-  // is stable here: the port pool is frozen once traffic flows (see the
+  // Delivery at the peer after serialization + propagation. `this` is
+  // stable here: the port pool is frozen once traffic flows (see the
   // Network invalidation rules).
   if (outbox_ != nullptr) [[unlikely]] {
     // Cross-shard link: the peer's handler runs on another shard's thread,
@@ -160,9 +202,7 @@ void EgressPort::start_next_transmission() {
     // lookahead guarantees that window hasn't started yet.
     outbox_->push((tx_start + tx + cfg_.delay).ns(), peer_id_, peer_port_, std::move(*next));
   } else if (net_ != nullptr || peer_node_ != nullptr) {
-    sched_->after(tx + cfg_.delay, [this, p = std::move(*next)]() mutable {
-      deliver_to_peer(std::move(p));
-    });
+    launch((tx_start + tx + cfg_.delay).ns(), std::move(*next));
   }
 }
 

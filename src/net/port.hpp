@@ -4,7 +4,9 @@
 // owning node; the port transmits them one at a time at its line rate and
 // delivers each to the peer node after the link's propagation delay
 // (store-and-forward). Dequeue markers run at transmission start, which is
-// where AMRT's inter-dequeue-gap measurement lives.
+// where AMRT's inter-dequeue-gap measurement lives. Packets on the wire wait
+// in the port's FIFO list of WirePool cells (net/wire.hpp), with one pending
+// event for the list's head.
 //
 // Ports live by value in Network's contiguous port pool and address their
 // queue (non-owning; the queue arena owns it) and their peer (a NodeId
@@ -13,6 +15,7 @@
 // bare scheduler without a Network.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -21,6 +24,7 @@
 #include "net/marker.hpp"
 #include "net/node.hpp"
 #include "net/queue.hpp"
+#include "net/wire.hpp"
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
 
@@ -29,7 +33,7 @@ namespace amrt::net {
 class Network;
 class ShardMailbox;
 
-class EgressPort {
+class alignas(64) EgressPort {
  public:
   struct Config {
     sim::Bandwidth rate;
@@ -42,9 +46,10 @@ class EgressPort {
     std::uint64_t jitter_seed = 0;
   };
 
-  // `queue` is non-owning: Network's queue arena (or, in standalone tests,
-  // the caller) keeps it alive for the port's lifetime.
-  EgressPort(sim::Scheduler& sched, Config cfg, EgressQueue& queue);
+  // `queue` and `wire` are non-owning: Network's queue arena and wire pool
+  // (or, in standalone tests, the caller) keep them alive for the port's
+  // lifetime. `wire` must be the pool of `sched`'s thread.
+  EgressPort(sim::Scheduler& sched, Config cfg, EgressQueue& queue, WirePool& wire);
 
   // Wires the far end to a standalone node (unit tests). Must be called
   // before the first enqueue.
@@ -61,10 +66,11 @@ class EgressPort {
 
   // --- fault injection (src/fault drives these through Network) -----------
   // Link down: the queue is flushed (faulted drops) and every subsequent
-  // enqueue is eaten until the link comes back. In-flight deliveries — bits
-  // already on the wire — still complete. Idempotent.
+  // enqueue is eaten until the link comes back. Packets already on the wire
+  // still deliver, at their own times and in order. Idempotent.
   void set_link_up(bool up);
-  // Degrades (scale < 1) or restores (scale = 1) the serialization rate.
+  // Degrades (scale < 1) or restores (scale = 1) the serialization rate of
+  // later transmissions; packets already on the wire keep their times.
   void set_rate_scale(double scale);
   // Probabilistic blackholing at enqueue, covering control packets too (the
   // "lossy control plane" lever). `seed` makes the per-port stream
@@ -87,9 +93,13 @@ class EgressPort {
   [[nodiscard]] int peer_ingress_port() const { return peer_port_; }
 
   // --- sharded execution (net/partition.hpp drives these) ------------------
-  // Re-points event scheduling at the owning shard's scheduler. Must run
-  // before traffic flows; the serial path never calls it.
-  void rebind_scheduler(sim::Scheduler& sched) { sched_ = &sched; }
+  // Re-points event scheduling at the owning shard's scheduler and wire
+  // pool. Must run before traffic flows; the serial path never calls it.
+  void rebind_shard(sim::Scheduler& sched, WirePool& wire) {
+    assert(wire_head_ == WirePool::kNil);
+    sched_ = &sched;
+    wire_ = &wire;
+  }
   // Routes deliveries into a cross-shard mailbox instead of scheduling the
   // peer's handler on this shard. nullptr (the default) restores direct
   // delivery — the serial fast path pays one predicted-not-taken branch.
@@ -103,6 +113,12 @@ class EgressPort {
 
  private:
   void start_next_transmission();
+  // Puts a transmitted packet on the wire. Its event sequence number is
+  // reserved now, so it is delivered exactly where an event scheduled now
+  // would fire; only the wire's head holds a scheduled event.
+  void launch(std::int64_t deliver_ns, Packet&& pkt);
+  // The head cell's event: delivers its packet and schedules the next cell.
+  static void on_wire_head(void* port);
   void deliver_to_peer(Packet&& pkt);
   // Serialization time at this port's (fixed) rate, memoized by packet size.
   // Traffic is almost entirely two sizes — full-MTU data and small control
@@ -130,17 +146,23 @@ class EgressPort {
   // A fault consumed this packet before admission (link down / blackhole).
   void eat_faulted(Packet&& pkt, audit::DropReason reason);
 
+  // First cache line: everything a delivery off the wire touches.
   sim::Scheduler* sched_;
-  Config cfg_;
-  EgressQueue* queue_ = nullptr;
-  ShardMailbox* outbox_ = nullptr;  // non-null only on cross-shard ports
-  std::vector<std::unique_ptr<DequeueMarker>> markers_;
+  WirePool* wire_;
+  // The packets on the wire: a FIFO list of wire_ cells, in send order.
+  std::uint32_t wire_head_ = WirePool::kNil;
+  std::uint32_t wire_tail_ = WirePool::kNil;
   // Pooled wiring resolves peer_id_ through net_; standalone wiring
   // virtual-dispatches through peer_node_. connect() sets exactly one.
   Network* net_ = nullptr;
   Node* peer_node_ = nullptr;
   NodeId peer_id_{};
   int peer_port_ = -1;
+  ShardMailbox* outbox_ = nullptr;  // non-null only on cross-shard ports
+  EgressQueue* queue_;
+
+  Config cfg_;
+  std::vector<std::unique_ptr<DequeueMarker>> markers_;
   // Random streams live out of line: an mt19937_64 is 2.5 KB, and most
   // ports never draw. A port owns the jitter stream only when tx_jitter > 0
   // (host NICs) and the fault stream only while set_drop_prob armed it, so

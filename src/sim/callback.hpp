@@ -4,9 +4,9 @@
 // path: callables up to `kInlineBytes` are stored inline in the event
 // record, so steady-state scheduling performs no heap allocation. Larger
 // callables fall back to a single heap allocation, same as `std::function`
-// would. The buffer is sized so the two hottest event shapes stay inline:
-// a whole `std::function` (32 bytes) and a port's transmission/delivery
-// lambda capturing `this` plus a `net::Packet` by value (80 bytes).
+// would. The buffer is sized so the hottest event shapes stay inline: a
+// whole `std::function` (32 bytes) and a sharded run's cross-shard delivery
+// lambda capturing a `net::Packet` by value plus its addressing (80 bytes).
 //
 // Move-only by design: an event callback has exactly one owner (the event
 // record, then the dispatch loop).

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
 
 namespace amrt::sim {
@@ -36,74 +38,83 @@ void EventQueue::recycle_slot(std::uint32_t slot) {
 }
 
 // The set was empty: re-anchor the window at the incoming event. The
-// current bucket and its late run may still hold a fully drained prefix
-// (they are cleared lazily, on advance); drop it before reusing the wheel.
+// cursor's run and late run may still hold a fully drained prefix (they are
+// cleared lazily, on advance); drop it before reusing the wheel.
 void EventQueue::rebase_empty(std::int64_t when_ns) {
-  buckets_[cur_].clear();
-  occupied_[cur_ >> 6] &= ~(std::uint64_t{1} << (cur_ & 63));
-  base_ns_ = when_ns & ~(kBucketNs - 1);
-  cur_ = 0;
+  run_.clear();
+  cur_bucket_ = bucket_of(when_ns);
+  cur_ = static_cast<std::size_t>(cur_bucket_) & kWheelMask;
   drain_idx_ = 0;
   late_.clear();
   late_idx_ = 0;
 }
 
-// The drain cursor exhausted its bucket: retire it and move to the next
-// non-empty one, re-anchoring the window over the far list when the near
-// window is spent. Returns false when no events remain anywhere.
+// The drain cursor exhausted its bucket: retire it and move to the earliest
+// remaining bucket — the next occupied wheel slot in wheel order, or the
+// far heap's minimum if that comes first. Moving the cursor slides the
+// window with it, so far entries the window now covers join the wheel
+// before the new bucket is sorted. Returns false when no events remain.
 bool EventQueue::advance_bucket() {
-  buckets_[cur_].clear();  // keeps capacity for the next lap of the wheel
+  run_.clear();
   drain_idx_ = 0;
   late_.clear();
   late_idx_ = 0;
-  occupied_[cur_ >> 6] &= ~(std::uint64_t{1} << (cur_ & 63));
 
-  std::size_t w = cur_ >> 6;
-  std::uint64_t word = occupied_[w];
-  for (;;) {
+  std::int64_t next = std::numeric_limits<std::int64_t>::max();
+  // Scan the bitmap from the slot after the cursor, wrapping once; the
+  // first word is revisited last for the slots before the cursor.
+  const std::size_t from = (cur_ + 1) & kWheelMask;
+  std::size_t w = from >> 6;
+  std::uint64_t word = occupied_[w] & (~std::uint64_t{0} << (from & 63));
+  for (std::size_t n = 0; n <= kWords; ++n) {
     if (word != 0) {
-      cur_ = (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
-      sort_cursor_bucket();
-      return true;
+      const std::size_t idx = (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
+      next = cur_bucket_ + static_cast<std::int64_t>((idx - cur_) & kWheelMask);
+      break;
     }
-    if (++w >= kWords) break;
+    w = (w + 1) % kWords;
     word = occupied_[w];
   }
+  if (!far_.empty()) next = std::min(next, bucket_of(far_.front().when_ns));
+  if (next == std::numeric_limits<std::int64_t>::max()) return false;
 
-  if (far_.empty()) {
-    cur_ = 0;
-    return false;
+  cur_bucket_ = next;
+  cur_ = static_cast<std::size_t>(next) & kWheelMask;
+  while (!far_.empty() &&
+         bucket_of(far_.front().when_ns) - cur_bucket_ < static_cast<std::int64_t>(kBuckets)) {
+    std::pop_heap(far_.begin(), far_.end(), later);
+    append(bucket_of(far_.back().when_ns), far_.back());
+    far_.pop_back();
   }
-  // Re-anchor the window at the earliest far event and re-bucket everything
-  // that now falls inside it. Far events are rare (long timers), so the
-  // linear partition is cheap and keeps pushes O(1).
-  base_ns_ = far_min_ns_ & ~(kBucketNs - 1);
-  cur_ = 0;
-  std::int64_t next_min = std::numeric_limits<std::int64_t>::max();
-  std::size_t keep = 0;
-  for (const Entry& e : far_) {
-    const std::int64_t idx = (e.when_ns - base_ns_) >> kBucketShift;
-    if (idx < static_cast<std::int64_t>(kBuckets)) {
-      append(static_cast<std::size_t>(idx), e);
-    } else {
-      far_[keep++] = e;
-      if (e.when_ns < next_min) next_min = e.when_ns;
-    }
-  }
-  far_.resize(keep);
-  far_min_ns_ = next_min;
-  sort_cursor_bucket();
-  return true;  // the window now contains at least the old far minimum
+  load_cursor_bucket();
+  return true;
 }
 
-// Orders the bucket the cursor just reached. Every entry was appended while
-// the bucket lay ahead of the cursor, in push order — that is, in sequence
-// order — so a stable sort on the timestamp alone yields (when, seq) order.
-// Timestamps within a bucket differ only in their low kBucketShift bits:
-// two counting passes over those bits (LSD radix) sort the bucket in linear
-// time.
-void EventQueue::sort_cursor_bucket() {
-  std::vector<Entry>& b = buckets_[cur_];
+// Moves the bucket the cursor just reached into `run_`, returning its
+// chunks to the pool, and orders it. Timestamps within a bucket differ only
+// in their low kBucketShift bits: two counting passes over those bits (LSD
+// radix) sort it by time in linear time, stably. Entries
+// are appended mostly in sequence order, so equal timestamps are mostly in
+// order already; the exceptions — entries pushed under a reserved sequence
+// number, and far entries, which leave their heap in time order only — are
+// put in place by an insertion pass over each run of equal timestamps.
+// Those runs are almost always one entry long.
+void EventQueue::load_cursor_bucket() {
+  ChunkList& l = lists_[cur_];
+  occupied_[cur_ >> 6] &= ~(std::uint64_t{1} << (cur_ & 63));
+  for (std::uint32_t c = l.head, left = l.size; left != 0;) {
+    const std::uint32_t take = std::min(left, kChunkEntries);
+    const Entry* first = &chunk_pool_[std::size_t{c} * kChunkEntries];
+    run_.insert(run_.end(), first, first + take);
+    left -= take;
+    const std::uint32_t next = chunk_next_[c];
+    chunk_next_[c] = free_chunk_;
+    free_chunk_ = c;
+    c = next;
+  }
+  l = ChunkList{};
+
+  std::vector<Entry>& b = run_;
   const std::size_t n = b.size();
   if (n < 2) return;
   constexpr int kLowBits = kBucketShift / 2;
@@ -130,14 +141,43 @@ void EventQueue::sort_cursor_bucket() {
   };
   pass(b.data(), sort_tmp_.data(), 0, kLowBits);
   pass(sort_tmp_.data(), b.data(), kLowBits, kHighBits);
+  for (std::size_t i = 1; i < n; ++i) {
+    if (b[i].when_ns != b[i - 1].when_ns || b[i].seq_slot > b[i - 1].seq_slot) continue;
+    const Entry e = b[i];
+    std::size_t pos = i;
+    while (pos > 0 && after(b[pos - 1], e)) {
+      b[pos] = b[pos - 1];
+      --pos;
+    }
+    b[pos] = e;
+  }
 }
+
+#ifdef AMRT_AUDIT
+void EventQueue::audit_fire_order(const Entry& e) {
+  const std::uint64_t seq = e.seq_slot >> kSlotBits;
+  if (fired_any_ && (e.when_ns < last_fired_ns_ ||
+                     (e.when_ns == last_fired_ns_ && seq <= last_fired_seq_))) {
+    std::fprintf(stderr,
+                 "AMRT audit violation [event-order]: fired (%lld ns, seq %llu) after "
+                 "(%lld ns, seq %llu)\n",
+                 static_cast<long long>(e.when_ns), static_cast<unsigned long long>(seq),
+                 static_cast<long long>(last_fired_ns_),
+                 static_cast<unsigned long long>(last_fired_seq_));
+    std::abort();
+  }
+  fired_any_ = true;
+  last_fired_ns_ = e.when_ns;
+  last_fired_seq_ = seq;
+}
+#endif
 
 EventQueue::Handle EventQueue::push(TimePoint when, Callback cb) {
   const std::uint32_t slot = alloc_slot();
   Record& rec = record(slot);
   rec.cb = std::move(cb);
   rec.live = true;
-  insert_entry(when.ns(), slot);
+  insert_entry(when.ns(), next_seq_++, slot);
   ++live_;
   return Handle{this, slot, rec.gen};
 }
@@ -168,6 +208,7 @@ std::optional<EventQueue::Ready> EventQueue::pop() {
   if (head == nullptr) return std::nullopt;
   const Entry top = *head;
   consume_head();
+  audit_fire_order(top);
   const std::uint32_t slot = entry_slot(top);
   --live_;
   if ((slot & kRawFlag) != 0) {

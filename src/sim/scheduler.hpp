@@ -48,6 +48,15 @@ class Scheduler {
     if (when < now_) throw std::logic_error("Scheduler::at_raw: scheduling into the past");
     queue_.push_raw(when, fn, ctx);
   }
+  // Reserved-sequence variant (see EventQueue::reserve_seq): the event fires
+  // where one scheduled at reservation time would have. Port wire pipelines
+  // reserve a sequence number per packet at transmit time and schedule only
+  // the wire's head.
+  [[nodiscard]] std::uint64_t reserve_seq() { return queue_.reserve_seq(); }
+  void at_raw(TimePoint when, EventQueue::RawFn fn, void* ctx, std::uint64_t reserved_seq) {
+    if (when < now_) throw std::logic_error("Scheduler::at_raw: scheduling into the past");
+    queue_.push_raw(when, fn, ctx, reserved_seq);
+  }
 
   // Runs until the event set is exhausted (or stop()/limits hit).
   void run();

@@ -247,7 +247,7 @@ class AckTrap final : public transport::TransportEndpoint {
  protected:
   void on_data(net::Packet&&) override {}
   void on_rts(net::Packet&&) override {}
-  void on_grant(net::Packet&& p) override { acks.emplace_back(p.seq, p.marked_grant); }
+  void on_grant(net::Packet&& p) override { acks.emplace_back(p.seq, bool{p.marked_grant}); }
   void on_done(net::Packet&&) override {}
 };
 

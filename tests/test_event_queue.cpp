@@ -161,7 +161,10 @@ namespace {
 // Differential driver: runs EventQueue beside a reference event set — an
 // ordered set on (time, push order) with cancellation — and checks that
 // both fire the same event at the same time on every step. Some callbacks
-// push a follow-up event while they run, as simulation callbacks do.
+// push a follow-up event while they run, as simulation callbacks do. Sends
+// on wires model port wire pipelines: each send reserves a sequence number
+// at once, but only the wire's head is pushed, under its reserved number,
+// when the cell before it fires.
 class DiffDriver {
  public:
   struct Mix {
@@ -172,11 +175,15 @@ class DiffDriver {
     int fire_horizon = 0;
     int fire_all = 0;
     int pop = 0;
+    int send = 0;
   };
   // Delay of a newly pushed event, drawn by the test from its shape.
   using DelayFn = std::int64_t (*)(std::mt19937_64&, bool raw);
 
-  DiffDriver(std::uint64_t seed, DelayFn delay) : rng_{seed}, delay_{delay} {}
+  DiffDriver(std::uint64_t seed, DelayFn delay, std::size_t wires = 0)
+      : rng_{seed}, delay_{delay}, wires_(wires) {
+    for (Wire& w : wires_) w.d = this;
+  }
 
   void push(bool raw) {
     const std::int64_t when = now_ + delay_(rng_, raw);
@@ -192,6 +199,23 @@ class DiffDriver {
     } else {
       handles_.push_back(q_.push(at_ns(when), [this, id] { on_fire(id); }));
     }
+  }
+
+  // Puts an event on a random wire, due after `delay_` and strictly after
+  // the wire's last cell, as deliveries along one link are.
+  void send() {
+    if (wires_.empty()) return push(false);
+    Wire& w = wires_[rng_() % wires_.size()];
+    const std::int64_t when = std::max(now_ + delay_(rng_, false), w.last + 1);
+    w.last = when;
+    const std::uint64_t id = when_.size();
+    when_.push_back(when);
+    fired_.push_back(0);
+    raw_.push_back(true);  // not cancellable
+    handles_.emplace_back();
+    ref_.emplace(when, id);
+    w.cells.push_back(Cell{when, id, q_.reserve_seq()});
+    if (w.cells.size() == 1) q_.push_raw(at_ns(when), &DiffDriver::on_wire, &w, w.cells.front().seq);
   }
 
   // Cancels one of the last 4096 pushes, as timers are mostly cancelled
@@ -254,7 +278,8 @@ class DiffDriver {
 
   void step(const Mix& m) {
     const int total =
-        m.push + m.push_raw + m.cancel + m.next_time + m.fire_horizon + m.fire_all + m.pop;
+        m.push + m.push_raw + m.cancel + m.next_time + m.fire_horizon + m.fire_all + m.pop +
+        m.send;
     int r = static_cast<int>(rng_() % static_cast<std::uint64_t>(total));
     if ((r -= m.push) < 0) return push(false);
     if ((r -= m.push_raw) < 0) return push(true);
@@ -264,7 +289,8 @@ class DiffDriver {
       return fire(now_ + static_cast<std::int64_t>(rng_() % (2 * horizon_span_ + 1)));
     }
     if ((r -= m.fire_all) < 0) return fire(TimePoint::max().ns());
-    pop();
+    if ((r -= m.pop) < 0) return pop();
+    send();
   }
 
   // Fires everything left, then checks every push fired exactly once or
@@ -288,6 +314,7 @@ class DiffDriver {
   [[nodiscard]] std::size_t pending() const { return ref_.size(); }
   [[nodiscard]] const std::string& error() const { return error_; }
   [[nodiscard]] std::int64_t now() const { return now_; }
+  [[nodiscard]] std::size_t far_size() const { return q_.far_size(); }
 
  private:
   static constexpr std::uint64_t kNone = UINT64_MAX;
@@ -298,6 +325,28 @@ class DiffDriver {
   static void on_raw(void* ctx) {
     auto* tag = static_cast<RawTag*>(ctx);
     tag->d->on_fire(tag->id);
+  }
+  struct Cell {
+    std::int64_t when;
+    std::uint64_t id;
+    std::uint64_t seq;
+  };
+  struct Wire {
+    DiffDriver* d = nullptr;
+    std::deque<Cell> cells;
+    std::int64_t last = -1;
+  };
+  // The head cell's event: fires it, then pushes the next cell under the
+  // sequence number it reserved.
+  static void on_wire(void* ctx) {
+    auto* w = static_cast<Wire*>(ctx);
+    const Cell head = w->cells.front();
+    w->cells.pop_front();
+    w->d->on_fire(head.id);
+    if (!w->cells.empty()) {
+      const Cell& next = w->cells.front();
+      w->d->q_.push_raw(at_ns(next.when), &DiffDriver::on_wire, w, next.seq);
+    }
   }
   void on_fire(std::uint64_t id) {
     ++fired_[id];
@@ -318,6 +367,7 @@ class DiffDriver {
   std::set<std::uint64_t> cancelled_;
   std::mt19937_64 rng_;
   DelayFn delay_;
+  std::vector<Wire> wires_;
   std::int64_t now_ = 0;
   std::int64_t horizon_span_ = 2000;
   std::uint64_t chain_every_ = 0;
@@ -379,4 +429,61 @@ TEST(EventQueueDifferential, FatTreeShapedLoad) {
   EXPECT_GT(d.now(), 1'100'000);  // the near window re-anchored under load
   d.finish();
   EXPECT_EQ(d.error(), "");
+}
+
+// Many laps of the 1ms wheel under a k=16-like load, with most events on
+// wires: each send reserves its sequence number when it is made, and its
+// event is pushed only when the cell ahead of it on the same wire fires —
+// often into a bucket that already holds later-numbered entries at the same
+// instant (deliveries sit on a 50ns grid). Every delay stays under 996us,
+// which is inside the window wherever the cursor sits in its bucket, so the
+// far list must stay empty on every lap: the window slides with the cursor.
+// A second pass adds timers past the window, so reserved-sequence events
+// and far entries meet in the buckets the far heap spills into.
+TEST(EventQueueDifferential, ManyLapsWithReservedSequenceNumbers) {
+  for (const bool far_timers : {false, true}) {
+    // Deliveries 101us ahead on a 50ns grid, raw wakeups, same-bucket
+    // events, and either timers just inside the window or past it.
+    const auto near_window = [](std::mt19937_64& rng, bool raw) -> std::int64_t {
+      if (raw) return 1'200;
+      const std::uint64_t r = rng() % 100;
+      if (r < 80) return 101'000 + static_cast<std::int64_t>(rng() % 40) * 50;
+      if (r < 95) return static_cast<std::int64_t>(rng() % 40) * 100;
+      return 900'000 + static_cast<std::int64_t>(rng() % 1'920) * 50;  // < 996us
+    };
+    const auto past_window = [](std::mt19937_64& rng, bool raw) -> std::int64_t {
+      if (raw) return 1'200;
+      const std::uint64_t r = rng() % 100;
+      if (r < 80) return 101'000 + static_cast<std::int64_t>(rng() % 40) * 50;
+      if (r < 95) return static_cast<std::int64_t>(rng() % 40) * 100;
+      return 1'000'000 + static_cast<std::int64_t>(rng() % 40) * 50'000;
+    };
+    DiffDriver d(far_timers ? 32 : 31,
+                 far_timers ? DiffDriver::DelayFn{past_window} : DiffDriver::DelayFn{near_window},
+                 512);
+    d.set_chain(4);
+    d.set_horizon_span(3000);
+    const DiffDriver::Mix fill{.push = 1, .push_raw = 1, .send = 6};
+    while (d.pending() < 8000) d.step(fill);
+    const DiffDriver::Mix steady{.push = 6, .push_raw = 10, .cancel = 6, .next_time = 8,
+                                 .fire_horizon = 20, .fire_all = 20, .pop = 1, .send = 30};
+    std::size_t far_peak = 0;
+    for (int i = 0; i < 2'000'000 && d.error().empty() && d.now() < 25'000'000; ++i) {
+      if (d.pending() > 8000) {
+        d.fire(TimePoint::max().ns());
+      } else {
+        d.step(steady);
+      }
+      far_peak = std::max(far_peak, d.far_size());
+    }
+    ASSERT_EQ(d.error(), "") << "far timers " << far_timers;
+    EXPECT_GT(d.now(), 20'000'000) << "far timers " << far_timers;  // 20+ laps
+    if (far_timers) {
+      EXPECT_GT(far_peak, 0U);
+    } else {
+      EXPECT_EQ(far_peak, 0U);
+    }
+    d.finish();
+    EXPECT_EQ(d.error(), "") << "far timers " << far_timers;
+  }
 }

@@ -2,8 +2,11 @@
 // used by the ablation benches.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "harness/csv.hpp"
 #include "harness/options.hpp"
@@ -89,6 +92,43 @@ TEST(BenchOptions, UnknownFlagsIgnored) {
   char a1[] = "--benchmark_filter=foo";
   char* argv[] = {prog, a1};
   EXPECT_NO_THROW((void)harness::parse_bench_options(2, argv));
+}
+
+TEST(BenchOptions, NumbersParseAsWholeTokens) {
+  const auto rejects = [](const char* flag) {
+    char prog[] = "bench";
+    std::string arg = flag;
+    char* argv[] = {prog, arg.data()};
+    try {
+      (void)harness::parse_bench_options(2, argv);
+    } catch (const std::invalid_argument& e) {
+      return std::string{e.what()};
+    }
+    return std::string{};
+  };
+  EXPECT_EQ(rejects("--threads=4x"), "--threads expects a non-negative integer, got '4x'");
+  EXPECT_EQ(rejects("--flows=-1"), "--flows expects a non-negative integer, got '-1'");
+  EXPECT_EQ(rejects("--seed=1.5"), "--seed expects a non-negative integer, got '1.5'");
+  EXPECT_EQ(rejects("--scale=0.5x"), "--scale expects a number, got '0.5x'");
+  EXPECT_EQ(rejects("--loads=0.3,0.5x"), "--loads expects a number, got '0.5x'");
+  EXPECT_EQ(rejects("--flows=99999999999999999999"),
+            "--flows is out of range: '99999999999999999999'");
+}
+
+TEST(BenchOptions, EnvScaleParsesAsAWholeToken) {
+  char prog[] = "bench";
+  char* argv[] = {prog};
+  const char* outer = std::getenv("AMRT_BENCH_SCALE");
+  const std::string saved = outer != nullptr ? outer : "";
+  ASSERT_EQ(::setenv("AMRT_BENCH_SCALE", "0.25", 1), 0);
+  EXPECT_DOUBLE_EQ(harness::parse_bench_options(1, argv).scale, 0.25);
+  ASSERT_EQ(::setenv("AMRT_BENCH_SCALE", "2x", 1), 0);
+  EXPECT_THROW((void)harness::parse_bench_options(1, argv), std::invalid_argument);
+  if (outer != nullptr) {
+    ::setenv("AMRT_BENCH_SCALE", saved.c_str(), 1);
+  } else {
+    ::unsetenv("AMRT_BENCH_SCALE");
+  }
 }
 
 // --- multipath modes -------------------------------------------------------

@@ -1,6 +1,10 @@
 // Unit tests for EgressPort serialization/propagation (src/net/port.hpp).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "net/port.hpp"
@@ -37,11 +41,12 @@ Packet data_pkt(std::uint32_t seq, std::uint32_t wire = kMtuBytes) {
 struct PortRig {
   Scheduler sched;
   SinkNode sink;
-  EgressQueue queue;  // the port's queue is non-owning
+  EgressQueue queue;  // the port's queue and wire pool are non-owning
+  WirePool wire;
   EgressPort port;
 
   explicit PortRig(EgressPort::Config cfg, EgressQueue q = EgressQueue::drop_tail(64))
-      : queue{std::move(q)}, port{sched, cfg, queue} {
+      : queue{std::move(q)}, port{sched, cfg, queue, wire} {
     sink.now_fn = [this] { return sched.now(); };
     port.connect(sink, 3);
   }
@@ -198,7 +203,8 @@ TEST(EgressPort, BlackholeDropsFollowTheSeededStream) {
 TEST(EgressPort, InvalidConfigRejected) {
   Scheduler sched;
   auto q = EgressQueue::drop_tail(4);
-  EXPECT_THROW(EgressPort(sched, {Bandwidth::bps(0), Duration::zero()}, q),
+  WirePool wire;
+  EXPECT_THROW(EgressPort(sched, {Bandwidth::bps(0), Duration::zero()}, q, wire),
                std::invalid_argument);
 }
 
@@ -216,4 +222,116 @@ TEST(EgressPort, ControlPreemptsQueuedData) {
   EXPECT_EQ(rig.sink.arrivals[0].first.seq, 0u);  // already on the wire
   EXPECT_EQ(rig.sink.arrivals[1].first.seq, 42u); // grant jumps queued data
   EXPECT_EQ(rig.sink.arrivals[2].first.seq, 1u);
+}
+
+TEST(EgressPort, LinkDownLetsPacketsOnTheWireDeliver) {
+  // 1500B at 10G serialize in 1.2us; at t=3us packets 0-2 are on the wire
+  // (the third still serializing) and 3-4 wait in the queue. Taking the
+  // link down flushes the queue and eats later enqueues, while the three on
+  // the wire arrive at their own times and in order.
+  PortRig rig{{Bandwidth::gbps(10), 50_us}};
+  for (std::uint32_t i = 0; i < 5; ++i) rig.port.enqueue(data_pkt(i));
+  rig.sched.at(TimePoint::zero() + 3_us, [&] {
+    rig.port.set_link_up(false);
+    rig.port.enqueue(data_pkt(5));
+  });
+  rig.sched.run();
+  ASSERT_EQ(rig.sink.arrivals.size(), 3u);
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(rig.sink.arrivals[i].first.seq, i);
+    EXPECT_EQ(rig.sink.times[i], TimePoint::zero() + 1200_ns * (i + 1) + 50_us);
+  }
+  EXPECT_EQ(rig.port.packets_faulted(), 3u);
+  EXPECT_EQ(rig.wire.in_use(), 0u);
+}
+
+TEST(EgressPort, RateChangeLeavesPacketsOnTheWireAlone) {
+  // At t=2.5us packets 0-1 are on the wire and packet 2 is serializing at
+  // 10G; halving the rate then only slows packet 3, which starts at 3.6us.
+  PortRig rig{{Bandwidth::gbps(10), 20_us}};
+  for (std::uint32_t i = 0; i < 4; ++i) rig.port.enqueue(data_pkt(i));
+  rig.sched.at(TimePoint::zero() + 2500_ns, [&] { rig.port.set_rate_scale(0.5); });
+  rig.sched.run();
+  ASSERT_EQ(rig.sink.arrivals.size(), 4u);
+  const std::vector<TimePoint> expected{
+      TimePoint::zero() + 1200_ns + 20_us, TimePoint::zero() + 2400_ns + 20_us,
+      TimePoint::zero() + 3600_ns + 20_us, TimePoint::zero() + 3600_ns + 2400_ns + 20_us};
+  EXPECT_EQ(rig.sink.times, expected);
+  for (std::uint32_t i = 0; i < 4; ++i) EXPECT_EQ(rig.sink.arrivals[i].first.seq, i);
+}
+
+TEST(EgressPort, EqualTimeDeliveriesFireInTransmitOrder) {
+  // Two ports into one sink. a2 and b2 arrive at the same instant; b2 left
+  // its serializer first (at 52ns, a2 at 1.2us), so it is delivered first —
+  // although a2's wire event is scheduled first (when a1 lands, at 5.2us;
+  // b1 lands at 6.052us). Each packet keeps the event sequence number taken
+  // when it was transmitted. With `extra` = 0 both wire events are pushed
+  // into a wheel bucket ahead of the drain cursor; with 1us they are pushed
+  // into the cursor's own bucket.
+  for (const Duration extra : {Duration::zero(), Duration::microseconds(1)}) {
+    Scheduler sched;
+    SinkNode sink;
+    sink.now_fn = [&] { return sched.now(); };
+    WirePool wire;
+    EgressQueue qa = EgressQueue::drop_tail(8);
+    EgressQueue qb = EgressQueue::drop_tail(8);
+    EgressPort a{sched, {Bandwidth::gbps(10), 4_us + extra}, qa, wire};
+    EgressPort b{sched, {Bandwidth::gbps(10), 6_us + extra}, qb, wire};
+    a.connect(sink, 1);
+    b.connect(sink, 2);
+    a.enqueue(data_pkt(1, 1500));  // 1200ns on the wire, lands at 5.2us
+    a.enqueue(data_pkt(2, 1265));  // 1012ns from 1.2us, lands at 6.212us
+    b.enqueue(data_pkt(1, 65));    // 52ns, lands at 6.052us
+    b.enqueue(data_pkt(2, 200));   // 160ns from 52ns, lands at 6.212us
+    sched.run();
+    std::vector<std::pair<int, std::uint32_t>> order;
+    for (const auto& [pkt, port] : sink.arrivals) order.emplace_back(port, pkt.seq);
+    EXPECT_EQ(order, (std::vector<std::pair<int, std::uint32_t>>{{1, 1}, {2, 1}, {2, 2}, {1, 2}}))
+        << "extra " << extra.ns() << "ns";
+    ASSERT_EQ(sink.times.size(), 4u);
+    EXPECT_EQ(sink.times[2], TimePoint::zero() + 6212_ns + extra);
+    EXPECT_EQ(sink.times[3], sink.times[2]);
+  }
+}
+
+TEST(EgressPort, WirePoolHoldsOnlyTheInFlightPeak) {
+  // Two ports share one pool and burst one after the other: each puts 20
+  // packets on a 50us wire. The pool cuts a cell only when its freelist is
+  // empty, so it ends up with exactly as many cells as were ever on the
+  // wires at once — 20, not the 40 that rings per port would hold.
+  struct InFlight final : DequeueMarker {
+    int* count;
+    int* peak;
+    InFlight(int* c, int* p) : count{c}, peak{p} {}
+    void on_dequeue(Packet&, TimePoint, TimePoint, Bandwidth) override {
+      *peak = std::max(*peak, ++*count);
+    }
+  };
+  Scheduler sched;
+  int in_flight = 0;
+  int peak = 0;
+  struct CountingSink final : Node {
+    int* count;
+    explicit CountingSink(int* c) : Node{NodeId{7}}, count{c} {}
+    void handle_packet(Packet&&, int) override { --*count; }
+  } sink{&in_flight};
+  WirePool wire;
+  EgressQueue qa = EgressQueue::drop_tail(64);
+  EgressQueue qb = EgressQueue::drop_tail(64);
+  EgressPort a{sched, {Bandwidth::gbps(10), 50_us}, qa, wire};
+  EgressPort b{sched, {Bandwidth::gbps(10), 50_us}, qb, wire};
+  for (EgressPort* p : {&a, &b}) {
+    p->connect(sink, 0);
+    p->add_marker(std::make_unique<InFlight>(&in_flight, &peak));
+  }
+  for (std::uint32_t i = 0; i < 20; ++i) a.enqueue(data_pkt(i));
+  sched.at(TimePoint::zero() + 200_us, [&] {
+    for (std::uint32_t i = 0; i < 20; ++i) b.enqueue(data_pkt(i));
+  });
+  sched.run();
+  EXPECT_EQ(a.packets_sent() + b.packets_sent(), 40u);
+  EXPECT_EQ(peak, 20);
+  EXPECT_EQ(wire.cells(), 20u);
+  EXPECT_EQ(wire.in_use(), 0u);
+  EXPECT_EQ(in_flight, 0);
 }

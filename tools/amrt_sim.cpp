@@ -11,7 +11,6 @@
 //
 // All flags are optional; defaults match the laptop-scale fabric used by the
 // figure benches.
-#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -19,8 +18,8 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
 
+#include "harness/options.hpp"
 #include "harness/sweep.hpp"
 #include "net/topology.hpp"
 #include "workload/flow_trace.hpp"
@@ -98,27 +97,10 @@ constexpr std::int64_t kMaxLinkDelayUs = 1'000'000'000;  // 1000 s
 // A seed sweep builds every point up front.
 constexpr std::size_t kMaxSeeds = 100'000;
 
-// Numeric flags parse as one whole token: trailing characters ("10x"), a
-// fraction for a count ("1.5") and a sign on an unsigned flag ("-1") are
-// errors, never a silent prefix parse or a wrap-around to a huge count.
-template <typename T>
-T parse_number(const std::string& flag, const std::string& text) {
-  T value{};
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec == std::errc::result_out_of_range) {
-    throw std::invalid_argument(flag + " is out of range: '" + text + "'");
-  }
-  if (ec != std::errc{} || ptr != end) {
-    const char* kind = !std::is_integral_v<T> ? "a number"
-                       : std::is_signed_v<T>  ? "an integer"
-                                              : "a non-negative integer";
-    throw std::invalid_argument(flag + " expects " + kind + ", got '" + text + "'");
-  }
-  return value;
-}
+using harness::parse_number;
 
-// A whole-token number in [lo, hi]; hi defaults to the type's maximum.
+// A whole-token number (harness::parse_number) in [lo, hi]; hi defaults to
+// the type's maximum.
 template <typename T>
 T bounded(const std::string& flag, const std::string& text, T lo,
           T hi = std::numeric_limits<T>::max()) {
