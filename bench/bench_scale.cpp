@@ -10,9 +10,10 @@
 //               [--flows N] [--load F] [--shards N] [--repeat R]
 //               [--fidelity packet|flow|both] [--json PATH] [--check]
 //
-// --shards N runs each transport on the partitioned (pod-sharded) executor
-// with N worker threads (see net/partition.hpp); --repeat R reports the
-// median-of-R wall time. --fidelity flow runs the flow-level fast path
+// --shards N runs each transport on the pod-sharded executor with N worker
+// threads, at most 256 (see net/partition.hpp; 1, the default, is the serial
+// run of the same executor); --repeat R reports the median-of-R wall time.
+// --fidelity flow runs the flow-level fast path
 // (src/flowsim) on the same seeded workload; both emits a packet row and a
 // "/flow"-suffixed row per transport, which is how the committed
 // baselines/scale_k16_flow.json headroom figure is produced. --check
@@ -25,6 +26,7 @@
 #include <cstring>
 #include <ctime>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -38,10 +40,9 @@
 #include "net/partition.hpp"
 #include "net/topology.hpp"
 #include "sim/shard.hpp"
-#include "sim/simulation.hpp"
 #include "stats/fct.hpp"
 #include "transport/endpoint.hpp"
-#include "workload/generator.hpp"
+#include "workload/traffic.hpp"
 #include "workload/workloads.hpp"
 
 using namespace amrt;
@@ -56,7 +57,7 @@ struct Options {
   std::size_t flows = 2'000;
   double load = 0.5;
   std::uint64_t seed = 1;
-  unsigned shards = 1;  // 1 = serial (the unchanged fast path)
+  unsigned shards = 1;  // 1 = the serial run, at most sim::kMaxThreads
   int repeat = 1;       // median-of-R wall time
   std::string json_path;  // empty: stdout only when --json given
   bool check = false;
@@ -86,58 +87,53 @@ long peak_rss_kb() {
   return 0;
 }
 
+// One packet run on the pod-sharded executor; one shard is the serial run.
+// The master shard carries opt.seed, so every shard count runs the same
+// topology and flows.
 RunResult run_one(const Options& opt, transport::Protocol proto) {
-  sim::Simulation simu{opt.seed};
-  sim::Scheduler& sched = simu.scheduler();
-  net::Network network{simu};
+  sim::ShardGroup group{opt.seed, opt.shards};
+  net::Network network{group.master()};
 
   net::FatTreeConfig topo_cfg;
   topo_cfg.k = opt.k;
   topo_cfg.queue_factory = core::make_queue_factory(proto);
   topo_cfg.marker_factory = core::make_marker_factory(proto);
   const net::FatTree topo = net::build_fat_tree(network, topo_cfg);
+  harness::ShardedScenario scen{group, network, net::partition_fat_tree(network, topo, opt.shards),
+                                topo_cfg.link_rate, topo.base_rtt};
 
   transport::TransportConfig tcfg;
   tcfg.host_rate = topo_cfg.link_rate;
   tcfg.base_rtt = topo.base_rtt;
-  stats::FctRecorder recorder{topo_cfg.link_rate, topo.base_rtt};
+  scen.attach_endpoints(topo.hosts, [&](sim::Simulation& home, net::Host& host,
+                                        stats::FlowObserver* observer) {
+    return core::make_endpoint(proto, home, host, tcfg, observer);
+  });
 
-  std::vector<transport::TransportEndpoint*> eps;
-  eps.reserve(topo.hosts.size());
-  for (net::Host* host : topo.hosts) {
-    auto ep = core::make_endpoint(proto, simu, *host, tcfg, &recorder);
-    eps.push_back(ep.get());
-    host->attach(std::move(ep));
-  }
-
-  workload::FlowGenerator gen{workload::cdf(workload::Kind::kWebSearch), simu.rng()};
   workload::TrafficConfig traffic;
   traffic.load = opt.load;
   traffic.n_flows = opt.flows;
   traffic.n_hosts = topo.hosts.size();
   traffic.host_rate = topo_cfg.link_rate;
-  const auto flows = gen.generate(traffic);
-
-  for (const auto& f : flows) {
-    transport::FlowSpec spec{f.id, topo.hosts[f.src_host]->id(), topo.hosts[f.dst_host]->id(),
-                             f.bytes, f.start};
-    transport::TransportEndpoint* src_ep = eps[f.src_host];
-    sched.at(f.start, [src_ep, spec] { src_ep->start_flow(spec); });
-  }
+  const auto flows = workload::generate_traffic(
+      workload::WorkloadSpec{}, &workload::cdf(workload::Kind::kWebSearch), traffic,
+      group.master().rng());
+  scen.schedule_starts(flows);
 
   const auto t0 = std::chrono::steady_clock::now();
-  sched.run();  // natural drain: no samplers keep the loop alive
+  scen.run({});  // natural drain: no samplers keep the loop alive
   const auto t1 = std::chrono::steady_clock::now();
 
   RunResult r;
   r.name = std::string{"BM_Scale/fattree_k"} + std::to_string(opt.k) + "/" +
            transport::to_string(proto);
   r.real_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  r.events = sched.events_processed();
-  r.delivered_pkts = recorder.bytes_delivered() / net::kMssBytes;
+  r.events = scen.events();
+  r.delivered_pkts = scen.merged().bytes_delivered() / net::kMssBytes;
   r.flows = flows.size();
-  r.completed = recorder.completed().size();
+  r.completed = scen.merged().completed().size();
   r.peak_rss_kb = peak_rss_kb();
+  r.shards = opt.shards;
   return r;
 }
 
@@ -162,79 +158,14 @@ RunResult run_one_flow(const Options& opt, transport::Protocol proto) {
   return r;
 }
 
-// The partitioned executor: same topology, same (master-seeded) workload,
-// pod-sharded across `opt.shards` worker threads.
-RunResult run_one_sharded(const Options& opt, transport::Protocol proto) {
-  sim::ShardGroup group{opt.seed, opt.shards};
-  net::Network network{group.master()};
-
-  net::FatTreeConfig topo_cfg;
-  topo_cfg.k = opt.k;
-  topo_cfg.queue_factory = core::make_queue_factory(proto);
-  topo_cfg.marker_factory = core::make_marker_factory(proto);
-  const net::FatTree topo = net::build_fat_tree(network, topo_cfg);
-  net::Partition part = net::partition_fat_tree(network, topo, opt.shards);
-  harness::ShardedScenario scen{group, network, std::move(part), topo_cfg.link_rate,
-                                topo.base_rtt};
-
-  transport::TransportConfig tcfg;
-  tcfg.host_rate = topo_cfg.link_rate;
-  tcfg.base_rtt = topo.base_rtt;
-
-  std::vector<transport::TransportEndpoint*> eps;
-  eps.reserve(topo.hosts.size());
-  for (net::Host* host : topo.hosts) {
-    // The endpoint caches the scheduler of the Simulation it is built with,
-    // so constructing against the host's shard pins its timers there.
-    auto ep = core::make_endpoint(proto, scen.sim_of(host->id()), *host, tcfg,
-                                  &scen.recorder_of(host->id()));
-    eps.push_back(ep.get());
-    host->attach(std::move(ep));
-  }
-
-  // The master rng is seed-identical to the serial path: same flows.
-  workload::FlowGenerator gen{workload::cdf(workload::Kind::kWebSearch), group.master().rng()};
-  workload::TrafficConfig traffic;
-  traffic.load = opt.load;
-  traffic.n_flows = opt.flows;
-  traffic.n_hosts = topo.hosts.size();
-  traffic.host_rate = topo_cfg.link_rate;
-  const auto flows = gen.generate(traffic);
-
-  for (const auto& f : flows) {
-    transport::FlowSpec spec{f.id, topo.hosts[f.src_host]->id(), topo.hosts[f.dst_host]->id(),
-                             f.bytes, f.start};
-    transport::TransportEndpoint* src_ep = eps[f.src_host];
-    scen.sched_of(spec.src).at(f.start, [src_ep, spec] { src_ep->start_flow(spec); });
-  }
-
-  const auto t0 = std::chrono::steady_clock::now();
-  scen.run({});
-  const auto t1 = std::chrono::steady_clock::now();
-
-  RunResult r;
-  r.name = std::string{"BM_Scale/fattree_k"} + std::to_string(opt.k) + "/" +
-           transport::to_string(proto);
-  r.real_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  r.events = scen.events();
-  r.delivered_pkts = scen.merged().bytes_delivered() / net::kMssBytes;
-  r.flows = flows.size();
-  r.completed = scen.merged().completed().size();
-  r.peak_rss_kb = peak_rss_kb();
-  r.shards = opt.shards;
-  return r;
-}
-
 // Median-of-R by wall time (the simulation itself is deterministic per
 // mode, so only timing varies across repeats).
 RunResult run_repeated_here(const Options& opt, transport::Protocol proto, bool flow_fidelity) {
   std::vector<RunResult> runs;
-  const int reps = opt.repeat < 1 ? 1 : opt.repeat;
+  const int reps = opt.repeat;
   runs.reserve(static_cast<std::size_t>(reps));
   for (int i = 0; i < reps; ++i) {
-    runs.push_back(flow_fidelity        ? run_one_flow(opt, proto)
-                   : opt.shards > 1 ? run_one_sharded(opt, proto)
-                                    : run_one(opt, proto));
+    runs.push_back(flow_fidelity ? run_one_flow(opt, proto) : run_one(opt, proto));
   }
   std::sort(runs.begin(), runs.end(),
             [](const RunResult& a, const RunResult& b) { return a.real_ms < b.real_ms; });
@@ -341,10 +272,12 @@ void print_json(std::FILE* out, const Options& opt, const std::vector<RunResult>
   std::fprintf(out, "  ]\n}\n");
 }
 
-// A numeric flag value, parsed as one whole token; a malformed one exits 2.
+// A numeric flag value, parsed as one whole token in [lo, hi]; a malformed
+// or out-of-range one exits 2.
 template <typename T>
-T num(const char* flag, const char* text) {
-  return harness::parse_number_or_exit<T>("bench_scale", flag, text);
+T num(const char* flag, const char* text, T lo = std::numeric_limits<T>::lowest(),
+      T hi = std::numeric_limits<T>::max()) {
+  return harness::parse_number_or_exit<T>("bench_scale", flag, text, lo, hi);
 }
 
 void usage(const char* argv0) {
@@ -380,18 +313,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--seed") {
       opt.seed = num<std::uint64_t>("--seed", next());
     } else if (arg == "--shards") {
-      const int v = num<int>("--shards", next());
-      if (v < 1) {
-        std::fprintf(stderr, "bench_scale: --shards must be >= 1\n");
-        return 2;
-      }
-      opt.shards = static_cast<unsigned>(v);
+      opt.shards = num<unsigned>("--shards", next(), 1, sim::kMaxThreads);
     } else if (arg == "--repeat") {
-      opt.repeat = num<int>("--repeat", next());
-      if (opt.repeat < 1) {
-        std::fprintf(stderr, "bench_scale: --repeat must be >= 1\n");
-        return 2;
-      }
+      opt.repeat = num<int>("--repeat", next(), 1);
     } else if (arg == "--fidelity") {
       const std::string v = next();
       if (v == "packet") {

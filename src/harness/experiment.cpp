@@ -4,8 +4,8 @@
 #include <chrono>
 #include <memory>
 #include <ostream>
-
 #include <stdexcept>
+#include <string>
 
 #include "fault/fault.hpp"
 #include "harness/fidelity.hpp"
@@ -113,118 +113,11 @@ void finish_group_stats(const stats::GroupBook& book, ExperimentResult& out) {
   out.request_stats = book.request_stats(out.flow_records);
 }
 
-// Partitioned variant: same topology, workload draws and flow schedule as
-// the serial path (everything builds against the master shard, which carries
-// cfg.seed unchanged), executed across cfg.shards worker threads. No
-// PortSamplers and no completion-poll loop — periodic callbacks would keep
-// every shard's window advancing forever — so the run drains naturally under
-// the max_sim_time horizon, utilization is not measured, and the queue
-// high-water comes from the queues' own counters.
-ExperimentResult run_leaf_spine_sharded(const ExperimentConfig& cfg) {
-  const auto wall_start = std::chrono::steady_clock::now();
-
-  if (cfg.fault_incidents > 0) {
-    throw std::invalid_argument(
-        "run_leaf_spine: fault injection and sharded execution are mutually exclusive "
-        "(the injector mutates link state from a serial-only control path)");
-  }
-  if (cfg.background_dctcp_fraction > 0.0) {
-    throw std::invalid_argument(
-        "run_leaf_spine: mixed transports are serial-only (the coexistence metrics "
-        "need the serial utilization samplers)");
-  }
-
-  sim::ShardGroup group{cfg.seed, cfg.shards};
-  net::Network network{group.master()};
-
-  net::LeafSpineConfig topo_cfg;
-  topo_cfg.leaves = cfg.leaves;
-  topo_cfg.spines = cfg.spines;
-  topo_cfg.hosts_per_leaf = cfg.hosts_per_leaf;
-  topo_cfg.link_rate = cfg.link_rate;
-  topo_cfg.link_delay = cfg.link_delay;
-  topo_cfg.host_nic_queue_pkts = cfg.queues.host_nic_pkts;
-  topo_cfg.queue_factory = core::make_queue_factory(cfg.proto, cfg.queues);
-  topo_cfg.marker_factory =
-      core::make_marker_factory(cfg.proto, net::kMtuBytes, cfg.queues.ecn_threshold_pkts);
-  topo_cfg.multipath = cfg.multipath;
-  net::LeafSpine topo = net::build_leaf_spine(network, topo_cfg);
-
-  ShardedScenario scen{group, network, net::partition_leaf_spine(network, topo, cfg.shards),
-                       cfg.link_rate, topo.base_rtt};
-
-  transport::TransportConfig tcfg;
-  tcfg.host_rate = cfg.link_rate;
-  tcfg.base_rtt = topo.base_rtt;
-  tcfg.homa_overcommit = cfg.homa_overcommit;
-  tcfg.loss_timeout = cfg.loss_timeout;
-
-  std::vector<transport::TransportEndpoint*> endpoints;
-  endpoints.reserve(topo.hosts.size());
-  for (net::Host* host : topo.hosts) {
-    auto ep = core::make_endpoint(cfg.proto, scen.sim_of(host->id()), *host, tcfg,
-                                  &scen.recorder_of(host->id()));
-    endpoints.push_back(ep.get());
-    host->attach(std::move(ep));
-  }
-
-  stats::GroupBook book;
-  const auto flows = detail::generate_flows(cfg, topo.hosts.size(), group.master().rng(), book);
-  if (flows.empty()) return {};
-
-  for (const auto& f : flows) {
-    transport::FlowSpec spec{f.id, topo.hosts[f.src_host]->id(), topo.hosts[f.dst_host]->id(),
-                             f.bytes, f.start};
-    transport::TransportEndpoint* src_ep = endpoints[f.src_host];
-    scen.sched_of(spec.src).at(f.start, [src_ep, spec] { src_ep->start_flow(spec); });
-  }
-
-  ShardedScenario::RunLimits limits;
-  limits.horizon = sim::TimePoint::zero() + cfg.max_sim_time;
-  scen.run(limits);
-
-  const stats::FctRecorder& recorder = scen.merged();
-  ExperimentResult out;
-  out.fct_all = recorder.summarize();
-  out.fct_small = recorder.summarize(0, 100'000);
-  out.fct_large = recorder.summarize(1'000'000, UINT64_MAX);
-  out.fct_foreground = out.fct_all;  // sharded runs are single-transport
-  out.flows_started = recorder.started_count();
-  out.flows_completed = recorder.completed().size();
-  out.flow_records = recorder.completed();
-  finish_group_stats(book, out);
-  out.bytes_delivered = recorder.bytes_delivered();
-  out.events = group.events_processed();
-  out.sim_seconds = group.now_max().to_seconds();
-
-  for (const auto& sw : network.switches()) {
-    for (int p = 0; p < sw.port_count(); ++p) {
-      const auto& st = sw.port(p).queue().stats();
-      out.drops += st.dropped;
-      out.trims += st.trimmed;
-      out.max_queue_pkts = std::max(out.max_queue_pkts, st.max_data_pkts);
-    }
-  }
-  out.faulted = network.packets_faulted();
-
-  out.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
-
-  if (out.flows_completed < out.flows_started) {
-    group.master().trace().warn(
-        "run_leaf_spine[%s/%s, %u shards]: %zu of %zu flows incomplete at t=%s",
-        transport::to_string(cfg.proto), workload::abbrev(cfg.workload), cfg.shards,
-        out.flows_started - out.flows_completed, out.flows_started,
-        group.now_max().str().c_str());
-  }
-  return out;
-}
-
 }  // namespace
 
 namespace detail {
 
-// Generation, shared by the serial, sharded and flow-level paths: run the
+// Generation, shared by the packet and flow-level paths: run the
 // configured traffic engine against the run's seeded stream, optionally dump
 // the schedule as a replayable trace, and register group/request membership.
 std::vector<workload::GeneratedFlow> generate_flows(const ExperimentConfig& cfg,
@@ -243,20 +136,19 @@ std::vector<workload::GeneratedFlow> generate_flows(const ExperimentConfig& cfg,
   return flows;
 }
 
-ExperimentResult run_leaf_spine_serial(const ExperimentConfig& cfg,
+ExperimentResult run_leaf_spine_packet(const ExperimentConfig& cfg,
                                        const SerialOverrides* overrides) {
   const auto wall_start = std::chrono::steady_clock::now();
 
   const bool mixed = cfg.background_dctcp_fraction > 0.0;
-  if (mixed && cfg.proto != transport::Protocol::kAmrt) {
-    throw std::invalid_argument(
-        "run_leaf_spine: background_dctcp_fraction pairs DCTCP background with AMRT "
-        "foreground; set proto = kAmrt");
-  }
+  // Samplers, the completion poll, faults and rate reservations all need the
+  // serial event loop (validate() keeps them off sharded runs).
+  const bool serial = cfg.shards == 1;
 
-  sim::Simulation simu{cfg.seed};
-  sim::Scheduler& sched = simu.scheduler();
-  net::Network network{simu};
+  sim::ShardGroup group{cfg.seed, cfg.shards};
+  sim::Simulation& master = group.master();
+  sim::Scheduler& sched = master.scheduler();
+  net::Network network{master};
 
   net::LeafSpineConfig topo_cfg;
   topo_cfg.leaves = cfg.leaves;
@@ -273,9 +165,12 @@ ExperimentResult run_leaf_spine_serial(const ExperimentConfig& cfg,
   topo_cfg.multipath = cfg.multipath;
   net::LeafSpine topo = net::build_leaf_spine(network, topo_cfg);
 
+  ShardedScenario scen{group, network, net::partition_leaf_spine(network, topo, cfg.shards),
+                       cfg.link_rate, topo.base_rtt};
+
   // Injected fault schedule, drawn from its own seed stream (so a fault
   // scenario can be pinned while the workload seed sweeps). The injector
-  // must outlive sched.run_until below — its scheduled callbacks read it.
+  // must outlive scen.run below — its scheduled callbacks read it.
   std::unique_ptr<fault::FaultInjector> injector;
   if (cfg.fault_incidents > 0) {
     std::vector<net::PortId> fabric_ports;
@@ -300,37 +195,27 @@ ExperimentResult run_leaf_spine_serial(const ExperimentConfig& cfg,
   tcfg.homa_overcommit = cfg.homa_overcommit;
   tcfg.loss_timeout = cfg.loss_timeout;
 
-  stats::FctRecorder recorder{cfg.link_rate, topo.base_rtt};
-  std::vector<transport::TransportEndpoint*> endpoints;
-  endpoints.reserve(topo.hosts.size());
   const double bg_fraction = cfg.background_dctcp_fraction;
-  for (net::Host* host : topo.hosts) {
-    auto ep = mixed ? core::make_mixed_endpoint(
-                          simu, *host, tcfg, &recorder,
-                          [bg_fraction](net::FlowId id) { return is_background_flow(id, bg_fraction); })
-                    : core::make_endpoint(cfg.proto, simu, *host, tcfg, &recorder);
-    endpoints.push_back(ep.get());
-    host->attach(std::move(ep));
-  }
+  scen.attach_endpoints(topo.hosts, [&](sim::Simulation& home, net::Host& host,
+                                        stats::FlowObserver* observer) {
+    if (!mixed) return core::make_endpoint(cfg.proto, home, host, tcfg, observer);
+    return core::make_mixed_endpoint(home, host, tcfg, observer, [bg_fraction](net::FlowId id) {
+      return is_background_flow(id, bg_fraction);
+    });
+  });
 
-  // Workload, drawn from the simulation's own random stream — unless the
-  // caller (the mixed-fidelity runner) already drew the schedule.
+  // Workload, drawn from the master's random stream — unless the caller
+  // (the mixed-fidelity runner) already drew the schedule.
   stats::GroupBook book;
   std::vector<workload::GeneratedFlow> flows;
   if (overrides != nullptr && overrides->flows != nullptr) {
     flows = *overrides->flows;
     for (const auto& f : flows) book.note(f.id, f.group_id, f.request_id);
   } else {
-    flows = generate_flows(cfg, topo.hosts.size(), simu.rng(), book);
+    flows = generate_flows(cfg, topo.hosts.size(), master.rng(), book);
   }
   if (flows.empty()) return {};
-
-  for (const auto& f : flows) {
-    transport::FlowSpec spec{f.id, topo.hosts[f.src_host]->id(), topo.hosts[f.dst_host]->id(),
-                             f.bytes, f.start};
-    transport::TransportEndpoint* src_ep = endpoints[f.src_host];
-    sched.at(f.start, [src_ep, spec] { src_ep->start_flow(spec); });
-  }
+  scen.schedule_starts(flows);
 
   // Mixed fidelity: replay the fluid side's bandwidth usage as scheduled
   // serialization-rate reservations on the shared fabric ports.
@@ -342,41 +227,50 @@ ExperimentResult run_leaf_spine_serial(const ExperimentConfig& cfg,
     }
   }
 
-  // Monitors on every receiver downlink (the typical bottleneck) plus the
-  // fabric, for queue high-water marks.
+  // Serial runs monitor every receiver downlink (the typical bottleneck)
+  // plus the fabric, for queue high-water marks, and stop as soon as every
+  // flow has completed (samplers and recovery timers would otherwise keep
+  // the event loop alive forever). Sharded runs have neither — periodic
+  // callbacks would keep every shard's window advancing — so they drain
+  // under the max_sim_time horizon and take the queue high-water from the
+  // queues' own counters.
   std::vector<std::unique_ptr<net::PortSampler>> downlinks;
   std::vector<std::unique_ptr<net::PortSampler>> fabric;
-  for (int l = 0; l < cfg.leaves; ++l) {
-    for (int h = 0; h < cfg.hosts_per_leaf; ++h) {
-      downlinks.push_back(std::make_unique<net::PortSampler>(
-          simu, network.port_at(topo.leaf_down[l][h]), cfg.sample_interval));
-      downlinks.back()->start();
+  std::function<void()> poll;
+  if (serial) {
+    for (int l = 0; l < cfg.leaves; ++l) {
+      for (int h = 0; h < cfg.hosts_per_leaf; ++h) {
+        downlinks.push_back(std::make_unique<net::PortSampler>(
+            master, network.port_at(topo.leaf_down[l][h]), cfg.sample_interval));
+        downlinks.back()->start();
+      }
+      for (int s = 0; s < cfg.spines; ++s) {
+        fabric.push_back(std::make_unique<net::PortSampler>(
+            master, network.port_at(topo.leaf_up[l][s]), cfg.sample_interval));
+        fabric.back()->start();
+        fabric.push_back(std::make_unique<net::PortSampler>(
+            master, network.port_at(topo.spine_down[s][l]), cfg.sample_interval));
+        fabric.back()->start();
+      }
     }
-    for (int s = 0; s < cfg.spines; ++s) {
-      fabric.push_back(std::make_unique<net::PortSampler>(
-          simu, network.port_at(topo.leaf_up[l][s]), cfg.sample_interval));
-      fabric.back()->start();
-      fabric.push_back(std::make_unique<net::PortSampler>(
-          simu, network.port_at(topo.spine_down[s][l]), cfg.sample_interval));
-      fabric.back()->start();
-    }
+    const stats::FctRecorder& recorder = scen.shard_recorder(0);
+    const std::size_t expected = flows.size();
+    const sim::TimePoint last_start = flows.back().start;
+    poll = [&, expected, last_start] {
+      if (recorder.completed().size() >= expected && sched.now() > last_start) {
+        sched.stop();
+        return;
+      }
+      sched.after(sim::Duration::milliseconds(1), poll);
+    };
+    sched.after(sim::Duration::milliseconds(1), poll);
   }
 
-  // Stop as soon as every flow has completed (samplers and recovery timers
-  // would otherwise keep the event loop alive forever).
-  const std::size_t expected = flows.size();
-  const sim::TimePoint last_start = flows.back().start;
-  std::function<void()> poll = [&] {
-    if (recorder.completed().size() >= expected && sched.now() > last_start) {
-      sched.stop();
-      return;
-    }
-    sched.after(sim::Duration::milliseconds(1), poll);
-  };
-  sched.after(sim::Duration::milliseconds(1), poll);
+  ShardedScenario::RunLimits limits;
+  limits.horizon = sim::TimePoint::zero() + cfg.max_sim_time;
+  scen.run(limits);
 
-  sched.run_until(sim::TimePoint::zero() + cfg.max_sim_time);
-
+  const stats::FctRecorder& recorder = scen.merged();
   ExperimentResult out;
   out.fct_all = recorder.summarize();
   out.fct_small = recorder.summarize(0, 100'000);
@@ -386,8 +280,8 @@ ExperimentResult run_leaf_spine_serial(const ExperimentConfig& cfg,
   out.flow_records = recorder.completed();
   finish_group_stats(book, out);
   out.bytes_delivered = recorder.bytes_delivered();
-  out.events = sched.events_processed();
-  out.sim_seconds = sched.now().to_seconds();
+  out.events = scen.events();
+  out.sim_seconds = group.now_max().to_seconds();
 
   if (mixed) {
     std::vector<stats::FlowRecord> fg;
@@ -420,8 +314,10 @@ ExperimentResult run_leaf_spine_serial(const ExperimentConfig& cfg,
 
   for (const auto& sw : network.switches()) {
     for (int p = 0; p < sw.port_count(); ++p) {
-      out.drops += sw.port(p).queue().stats().dropped;
-      out.trims += sw.port(p).queue().stats().trimmed;
+      const auto& st = sw.port(p).queue().stats();
+      out.drops += st.dropped;
+      out.trims += st.trimmed;
+      if (!serial) out.max_queue_pkts = std::max(out.max_queue_pkts, st.max_data_pkts);
     }
   }
   out.faulted = network.packets_faulted();
@@ -430,21 +326,55 @@ ExperimentResult run_leaf_spine_serial(const ExperimentConfig& cfg,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
 
   if (out.flows_completed < out.flows_started) {
-    simu.trace().warn("run_leaf_spine[%s/%s]: %zu of %zu flows incomplete at t=%s",
-                      transport::to_string(cfg.proto), workload::abbrev(cfg.workload),
-                      out.flows_started - out.flows_completed, out.flows_started,
-                      sched.now().str().c_str());
+    master.trace().warn("run_leaf_spine[%s/%s, %u shard(s)]: %zu of %zu flows incomplete at t=%s",
+                        transport::to_string(cfg.proto), workload::abbrev(cfg.workload),
+                        cfg.shards, out.flows_started - out.flows_completed, out.flows_started,
+                        group.now_max().str().c_str());
   }
   return out;
 }
 
 }  // namespace detail
 
+void validate(const ExperimentConfig& cfg) {
+  auto reject = [](const std::string& why) { throw std::invalid_argument(why); };
+  if (cfg.shards == 0 || cfg.shards > sim::kMaxThreads) {
+    reject("--shards must be in [1, " + std::to_string(sim::kMaxThreads) + "]");
+  }
+  const bool sharded = cfg.shards > 1;
+  const bool faults = cfg.fault_incidents > 0;
+  const bool mixed = cfg.background_dctcp_fraction > 0.0;
+  if (faults && sharded) {
+    reject("--faults and --shards are mutually exclusive (the fault injector mutates link "
+           "state from the serial event loop)");
+  }
+  if (mixed && sharded) {
+    reject("--mixed and --shards are mutually exclusive (the coexistence metrics need the "
+           "serial utilization samplers)");
+  }
+  if (mixed && cfg.proto != transport::Protocol::kAmrt) {
+    reject("--mixed pairs DCTCP background with an AMRT foreground: it requires --proto=AMRT");
+  }
+  if (cfg.fidelity == Fidelity::kPacket) return;
+  const std::string fidelity = std::string{"--fidelity="} + to_string(cfg.fidelity);
+  if (sharded) reject(fidelity + " and --shards are mutually exclusive");
+  if (faults) reject(fidelity + " and --faults are mutually exclusive");
+  if (cfg.fidelity != Fidelity::kMixed) return;
+  if (mixed) {
+    reject("--fidelity=mixed and --mixed are mutually exclusive (the fluid side is the "
+           "background class; use --flow-background)");
+  }
+  const double frac = cfg.flow_background_fraction;
+  if (!(frac > 0.0 && frac < 1.0)) {
+    reject("--fidelity=mixed needs --flow-background in (0, 1)");
+  }
+}
+
 ExperimentResult run_leaf_spine(const ExperimentConfig& cfg) {
+  validate(cfg);
   if (cfg.fidelity == Fidelity::kFlow) return run_leaf_spine_flow(cfg);
   if (cfg.fidelity == Fidelity::kMixed) return run_leaf_spine_mixed(cfg);
-  if (cfg.shards > 1) return run_leaf_spine_sharded(cfg);
-  return detail::run_leaf_spine_serial(cfg, nullptr);
+  return detail::run_leaf_spine_packet(cfg, nullptr);
 }
 
 }  // namespace amrt::harness

@@ -75,15 +75,17 @@ struct ExperimentConfig {
   net::MultipathMode multipath = net::MultipathMode::kPerFlowEcmp;
   std::uint64_t seed = 1;
 
-  // Partitioned execution: run the fabric across this many shard threads
-  // under the conservative window protocol (src/net/partition.hpp). 1 = the
-  // classic serial run, bit-identical to older builds. Values > 1 keep the
-  // same topology, workload draws and flow schedule (all built against the
-  // master shard, which carries `seed` unchanged) but interleave packet
-  // events differently, so FCTs agree statistically rather than exactly.
-  // Utilization sampling needs the serial event loop; sharded runs report
-  // mean_utilization = 0 and take max_queue_pkts from the queues' own
-  // high-water marks. Mutually exclusive with fault injection.
+  // Shard count of the packet executor (harness/sharded.hpp). 1 is the
+  // serial run of that executor, bit-identical to older builds. Values > 1
+  // run the fabric across this many shard threads under the conservative
+  // window protocol (src/net/partition.hpp): the same topology, workload
+  // draws and flow schedule (all built against the master shard, which
+  // carries `seed` unchanged), but packet events interleave differently, so
+  // FCTs agree statistically rather than exactly. Utilization sampling needs
+  // the serial event loop; sharded runs report mean_utilization = 0 and take
+  // max_queue_pkts from the queues' own high-water marks. At most
+  // sim::kMaxThreads; mutually exclusive with fault injection, mixed
+  // transports and the flow/mixed fidelities (see validate()).
   unsigned shards = 1;
 
   // Fault injection (src/fault): number of random bounded incidents (link
@@ -153,6 +155,15 @@ void write_fct_csv(std::ostream& os, const std::vector<stats::FlowRecord>& recor
 // foreground/background split, where one recorder served both classes).
 [[nodiscard]] stats::FctSummary summarize_records(const std::vector<stats::FlowRecord>& records);
 
+// Throws std::invalid_argument, naming the flags, when `cfg` asks for a
+// combination run_leaf_spine cannot run: faults, mixed transports or a
+// flow/mixed fidelity with shards > 1; mixed transports without AMRT;
+// faults with a flow/mixed fidelity; mixed transports with the mixed
+// fidelity; a mixed-fidelity flow_background_fraction outside (0, 1);
+// shards outside [1, sim::kMaxThreads].
+void validate(const ExperimentConfig& cfg);
+
+// validate()s `cfg`, then runs it at its fidelity.
 [[nodiscard]] ExperimentResult run_leaf_spine(const ExperimentConfig& cfg);
 
 }  // namespace amrt::harness

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <stdexcept>
-#include <string>
 
 #include "net/packet.hpp"
-#include "workload/generator.hpp"
+#include "workload/traffic.hpp"
 #include "workload/workloads.hpp"
 
 namespace amrt::harness {
@@ -27,17 +25,6 @@ flowsim::RateModel rate_model_for(transport::Protocol proto) {
 }
 
 namespace {
-
-void check_serial_only(const ExperimentConfig& cfg, const char* what) {
-  if (cfg.shards > 1) {
-    throw std::invalid_argument(std::string("run_leaf_spine: ") + what +
-                                " is serial-only (shards must be 1)");
-  }
-  if (cfg.fault_incidents > 0) {
-    throw std::invalid_argument(std::string("run_leaf_spine: ") + what +
-                                " does not compose with fault injection");
-  }
-}
 
 // The packet path's timing constants, translated for the fluid engine:
 // same base RTT (grant-clock cadence), payload-fraction goodput derate,
@@ -103,13 +90,7 @@ void fill_fct_results(const stats::FctRecorder& recorder, const stats::GroupBook
 
 ExperimentResult run_leaf_spine_flow(const ExperimentConfig& cfg) {
   const auto wall_start = std::chrono::steady_clock::now();
-  check_serial_only(cfg, "flow fidelity");
   const bool mixed_transport = cfg.background_dctcp_fraction > 0.0;
-  if (mixed_transport && cfg.proto != transport::Protocol::kAmrt) {
-    throw std::invalid_argument(
-        "run_leaf_spine: background_dctcp_fraction pairs DCTCP background with AMRT "
-        "foreground; set proto = kAmrt");
-  }
 
   const flowsim::Fabric fabric =
       flowsim::Fabric::leaf_spine(cfg.leaves, cfg.spines, cfg.hosts_per_leaf, cfg.link_rate);
@@ -160,17 +141,7 @@ ExperimentResult run_leaf_spine_flow(const ExperimentConfig& cfg) {
 
 ExperimentResult run_leaf_spine_mixed(const ExperimentConfig& cfg) {
   const auto wall_start = std::chrono::steady_clock::now();
-  check_serial_only(cfg, "mixed fidelity");
-  if (cfg.background_dctcp_fraction > 0.0) {
-    throw std::invalid_argument(
-        "run_leaf_spine: mixed fidelity and mixed transports are exclusive "
-        "(the fluid side is the background class; use flow_background_fraction)");
-  }
   const double frac = cfg.flow_background_fraction;
-  if (frac <= 0.0 || frac >= 1.0) {
-    throw std::invalid_argument(
-        "run_leaf_spine: mixed fidelity needs flow_background_fraction in (0, 1)");
-  }
 
   // The full schedule, drawn exactly as the pure-packet run would draw it.
   const flowsim::Fabric fabric =
@@ -239,7 +210,7 @@ ExperimentResult run_leaf_spine_mixed(const ExperimentConfig& cfg) {
     return evs;
   };
 
-  ExperimentResult out = detail::run_leaf_spine_serial(cfg, &ov);
+  ExperimentResult out = detail::run_leaf_spine_packet(cfg, &ov);
 
   // Merge: foreground (packet) + background (fluid) records.
   out.fct_foreground = out.fct_all;
@@ -289,15 +260,15 @@ FlowFatTreeResult run_fat_tree_flow(int k, transport::Protocol proto, std::size_
   fscfg.mtu_bytes = net::kMtuBytes;
   fscfg.mss_bytes = net::kMssBytes;
 
-  // Same draws as bench_scale's packet run_one (Simulation{seed}'s stream).
+  // Same draws as bench_scale's packet run (its master shard's stream).
   sim::Rng rng{seed};
-  workload::FlowGenerator gen{workload::cdf(workload::Kind::kWebSearch), rng};
   workload::TrafficConfig traffic;
   traffic.load = load;
   traffic.n_flows = n_flows;
   traffic.n_hosts = fabric.n_hosts();
   traffic.host_rate = defaults.link_rate;
-  const auto flows = gen.generate(traffic);
+  const auto flows = workload::generate_traffic(
+      workload::WorkloadSpec{}, &workload::cdf(workload::Kind::kWebSearch), traffic, rng);
 
   flowsim::FlowSim fsim{fabric, fscfg};
   const flowsim::RateModel model = rate_model_for(proto);

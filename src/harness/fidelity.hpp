@@ -4,8 +4,9 @@
 //
 // Both variants replay the exact packet-path workload: flow generation draws
 // from a fresh sim::Rng{cfg.seed}, which is the same stream the packet
-// simulator's own Simulation{seed} feeds to the traffic engine, so the two
+// executor's master shard feeds to the traffic engine, so the two
 // fidelities see the same flows, sizes and start times draw for draw.
+// Neither checks its config: run_leaf_spine validate()s it first.
 #pragma once
 
 #include <cstdint>
@@ -20,8 +21,7 @@ namespace amrt::harness {
 
 // Flow-level leaf-spine run. Honors proto (via rate_model_for),
 // engine/workload/load/n_flows, topology shape, background_dctcp_fraction
-// (background flows get the DCTCP rate model) and seed. Serial-only;
-// throws on shards > 1 or fault injection.
+// (background flows get the DCTCP rate model) and seed.
 [[nodiscard]] ExperimentResult run_leaf_spine_flow(const ExperimentConfig& cfg);
 
 // Mixed fidelity: flows tagged background by
@@ -38,7 +38,7 @@ namespace amrt::harness {
 [[nodiscard]] flowsim::RateModel rate_model_for(transport::Protocol proto);
 
 // Flow-level fat-tree run for bench_scale --fidelity=flow: same websearch
-// workload and seed stream as bench_scale's packet run_one.
+// workload and seed stream as bench_scale's packet run.
 struct FlowFatTreeResult {
   std::uint64_t events = 0;
   std::uint64_t delivered_bytes = 0;
@@ -59,8 +59,9 @@ struct RateScaleEvent {
   double scale = 1.0;
 };
 
-// Optional knobs for the serial packet path. A null/empty overrides object
-// leaves the run byte-identical to the historical serial path.
+// Optional knobs for the serial (shards == 1) packet path. A null/empty
+// overrides object leaves the run byte-identical to the historical serial
+// path.
 struct SerialOverrides {
   // Pre-generated schedule to run instead of invoking the traffic engine
   // (the caller has already drawn it from the seed stream).
@@ -70,7 +71,9 @@ struct SerialOverrides {
   std::function<std::vector<RateScaleEvent>(const net::LeafSpine&)> rate_scale;
 };
 
-[[nodiscard]] ExperimentResult run_leaf_spine_serial(const ExperimentConfig& cfg,
+// The packet fidelity of run_leaf_spine on one ShardedScenario, for every
+// shard count; `overrides` (may be null) needs shards == 1.
+[[nodiscard]] ExperimentResult run_leaf_spine_packet(const ExperimentConfig& cfg,
                                                      const SerialOverrides* overrides);
 
 // Shared generation step (traffic engine + optional trace dump + group

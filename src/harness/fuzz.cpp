@@ -14,10 +14,8 @@
 #include "net/partition.hpp"
 #include "net/topology.hpp"
 #include "sim/shard.hpp"
-#include "sim/simulation.hpp"
 #include "stats/fct.hpp"
 #include "stats/group.hpp"
-#include "workload/generator.hpp"
 #include "workload/traffic.hpp"
 #include "workload/workloads.hpp"
 
@@ -141,13 +139,20 @@ net::MarkerFactory case_marker_factory(const CaseConfig& c, const CaseParams& p)
   return c.mixed ? core::make_mixed_marker_factory(p.queues) : core::make_marker_factory(c.proto);
 }
 
-// A built scenario ready to run: the network plus per-host endpoints and
-// the base RTT the transports were configured with.
+// A built fabric ready to run: its hosts, the base RTT the transports are
+// configured with, and its partition over the case's shards.
 struct Scenario {
   std::vector<net::Host*> hosts;
-  std::vector<transport::TransportEndpoint*> endpoints;
   sim::Duration base_rtt = sim::Duration::zero();
+  net::Partition part;
 };
+
+// The small dumbbell/chain fabrics have no useful cut: every node on the
+// one shard (validate() keeps them off sharded cases).
+net::Partition one_shard(const net::Network& network) {
+  return net::make_partition(
+      network, std::vector<std::uint32_t>(network.host_count() + network.switch_count(), 0), 1);
+}
 
 Scenario build_leaf_spine_case(net::Network& network, const CaseConfig& c, const CaseParams& p) {
   net::LeafSpineConfig topo_cfg;
@@ -160,10 +165,8 @@ Scenario build_leaf_spine_case(net::Network& network, const CaseConfig& c, const
   topo_cfg.queue_factory = case_queue_factory(c, p);
   topo_cfg.marker_factory = case_marker_factory(c, p);
   net::LeafSpine topo = net::build_leaf_spine(network, topo_cfg);
-  Scenario s;
-  s.hosts = topo.hosts;
-  s.base_rtt = topo.base_rtt;
-  return s;
+  return Scenario{topo.hosts, topo.base_rtt,
+                  net::partition_leaf_spine(network, topo, c.shards)};
 }
 
 Scenario build_dumbbell_case(net::Network& network, const CaseConfig& c, const CaseParams& p) {
@@ -201,6 +204,7 @@ Scenario build_dumbbell_case(net::Network& network, const CaseConfig& c, const C
   for (const net::HostId h : hosts) s.hosts.push_back(&network.host(h));
   // host -> ToR -> ToR -> host: three store-and-forward links.
   s.base_rtt = net::path_base_rtt(3, rate, delay);
+  s.part = one_shard(network);
   return s;
 }
 
@@ -250,6 +254,7 @@ Scenario build_chain_case(net::Network& network, const CaseConfig& c, const Case
   for (const net::HostId h : hosts) s.hosts.push_back(&network.host(h));
   // Worst case: end to end across all k switches, k+1 links.
   s.base_rtt = net::path_base_rtt(k + 1, rate, delay);
+  s.part = one_shard(network);
   return s;
 }
 
@@ -262,10 +267,7 @@ Scenario build_fat_tree_case(net::Network& network, const CaseConfig& c, const C
   topo_cfg.queue_factory = case_queue_factory(c, p);
   topo_cfg.marker_factory = case_marker_factory(c, p);
   net::FatTree topo = net::build_fat_tree(network, topo_cfg);
-  Scenario s;
-  s.hosts = topo.hosts;
-  s.base_rtt = topo.base_rtt;
-  return s;
+  return Scenario{topo.hosts, topo.base_rtt, net::partition_fat_tree(network, topo, c.shards)};
 }
 
 Scenario build_case(net::Network& network, const CaseConfig& c, const CaseParams& p) {
@@ -314,10 +316,10 @@ fault::FaultPlan draw_fault_plan(const CaseConfig& c, const net::Network& networ
 // which is reported as a failure instead of hanging the fuzzer.
 constexpr std::uint64_t kEventLimit = 50'000'000;
 
-// Oracles 1-4 plus the replay fingerprint, shared by the serial and the
-// partitioned paths (the latter passes the merged per-shard recorder and the
-// master auditor, which holds the folded cross-shard ledger after the run).
-// Expects r.flows / r.completed / r.events / r.faulted to be set already.
+// Oracles 1-4 plus the replay fingerprint, over the merged per-shard
+// recorder and the master auditor (which holds the folded cross-shard ledger
+// after a sharded run). Expects r.flows / r.completed / r.events / r.faulted
+// to be set already.
 void check_oracles(CaseResult& r, const stats::FctRecorder& recorder, net::Network& network,
                    const Scenario& scen, const CaseParams& params, audit::Auditor& auditor) {
   auto fail = [&r](std::string why) {
@@ -417,102 +419,6 @@ void check_group_oracle(CaseResult& r, const std::vector<workload::GeneratedFlow
   }
 }
 
-// Partitioned variant of run_case: same parameter stream and flow schedule
-// (everything builds against the master shard, which carries the case seed
-// unchanged), executed on `c.shards` worker threads under the conservative
-// window protocol. Only the partitionable topologies are supported.
-CaseResult run_case_sharded(const CaseConfig& c) {
-  if (c.faults) {
-    throw std::invalid_argument("fuzz: --faults and --shards are mutually exclusive "
-                                "(fault injection mutates link state serially)");
-  }
-  if (c.topo != Topo::kFatTree && c.topo != Topo::kLeafSpine) {
-    throw std::invalid_argument(std::string{"fuzz: --shards does not support topology "} +
-                                to_string(c.topo));
-  }
-
-  sim::Rng draw{mix(c.seed, case_salt(c))};
-  const CaseParams params = draw_params(c, draw);
-
-  sim::ShardGroup group{mix(c.seed, case_salt(c) ^ 0xA5A5ULL), c.shards};
-  net::Network network{group.master()};
-
-  Scenario scen;
-  net::Partition part;
-  if (c.topo == Topo::kFatTree) {
-    net::FatTreeConfig topo_cfg;
-    topo_cfg.k = params.fat_k;
-    topo_cfg.link_rate = params.link_rate;
-    topo_cfg.link_delay = params.link_delay;
-    topo_cfg.host_nic_queue_pkts = params.queues.host_nic_pkts;
-    topo_cfg.queue_factory = core::make_queue_factory(c.proto, params.queues);
-    topo_cfg.marker_factory = core::make_marker_factory(c.proto);
-    net::FatTree topo = net::build_fat_tree(network, topo_cfg);
-    scen.hosts = topo.hosts;
-    scen.base_rtt = topo.base_rtt;
-    part = net::partition_fat_tree(network, topo, c.shards);
-  } else {
-    net::LeafSpineConfig topo_cfg;
-    topo_cfg.leaves = params.leaves;
-    topo_cfg.spines = params.spines;
-    topo_cfg.hosts_per_leaf = params.hosts_per_leaf;
-    topo_cfg.link_rate = params.link_rate;
-    topo_cfg.link_delay = params.link_delay;
-    topo_cfg.host_nic_queue_pkts = params.queues.host_nic_pkts;
-    topo_cfg.queue_factory = core::make_queue_factory(c.proto, params.queues);
-    topo_cfg.marker_factory = core::make_marker_factory(c.proto);
-    net::LeafSpine topo = net::build_leaf_spine(network, topo_cfg);
-    scen.hosts = topo.hosts;
-    scen.base_rtt = topo.base_rtt;
-    part = net::partition_leaf_spine(network, topo, c.shards);
-  }
-
-  ShardedScenario sharded{group, network, std::move(part), params.link_rate, scen.base_rtt};
-
-  transport::TransportConfig tcfg;
-  tcfg.host_rate = params.link_rate;
-  tcfg.base_rtt = scen.base_rtt;
-
-  scen.endpoints.reserve(scen.hosts.size());
-  for (net::Host* host : scen.hosts) {
-    auto ep = core::make_endpoint(c.proto, sharded.sim_of(host->id()), *host, tcfg,
-                                  &sharded.recorder_of(host->id()));
-    scen.endpoints.push_back(ep.get());
-    host->attach(std::move(ep));
-  }
-
-  workload::TrafficConfig traffic;
-  traffic.load = params.load;
-  traffic.n_flows = params.n_flows;
-  traffic.n_hosts = scen.hosts.size();
-  traffic.host_rate = params.link_rate;
-  const auto flows = workload::generate_traffic(params.spec, &workload::cdf(params.workload),
-                                                traffic, group.master().rng());
-
-  for (const auto& f : flows) {
-    transport::FlowSpec spec{f.id, scen.hosts[f.src_host]->id(), scen.hosts[f.dst_host]->id(),
-                             f.bytes, f.start};
-    transport::TransportEndpoint* src_ep = scen.endpoints[f.src_host];
-    // A flow starts on its sender's shard: the start event must fire on the
-    // thread that owns the sender's scheduler and timers.
-    sharded.sched_of(spec.src).at(f.start, [src_ep, spec] { src_ep->start_flow(spec); });
-  }
-
-  ShardedScenario::RunLimits limits;
-  limits.event_limit = kEventLimit;
-  limits.audit_context = repro_line(c);
-  sharded.run(limits);
-
-  CaseResult r;
-  r.flows = flows.size();
-  r.completed = sharded.merged().completed().size();
-  r.events = sharded.events();
-  r.faulted = network.packets_faulted();
-  check_oracles(r, sharded.merged(), network, scen, params, group.master().auditor());
-  check_group_oracle(r, flows, sharded.merged());
-  return r;
-}
-
 }  // namespace
 
 const char* to_string(Topo t) {
@@ -545,82 +451,87 @@ std::string repro_line(const CaseConfig& c) {
          (c.mixed ? " --mixed" : "") + (c.engine ? " --workload-engine" : "");
 }
 
+void validate(const CaseConfig& c) {
+  auto reject = [](const std::string& why) { throw std::invalid_argument(why); };
+  if (c.shards == 0 || c.shards > sim::kMaxThreads) {
+    reject("--shards must be in [1, " + std::to_string(sim::kMaxThreads) + "]");
+  }
+  if (c.mixed && c.proto != Protocol::kAmrt) {
+    reject("--mixed requires --transport amrt (the foreground transport is fixed; DCTCP "
+           "rides as background)");
+  }
+  if (c.shards == 1) return;
+  if (c.faults) {
+    reject("--faults and --shards are mutually exclusive (fault injection mutates link "
+           "state serially)");
+  }
+  if (c.mixed) {
+    reject("--mixed and --shards are mutually exclusive (mixed transports are serial-only)");
+  }
+  if (c.topo != Topo::kFatTree && c.topo != Topo::kLeafSpine) {
+    reject(std::string{"--shards does not support topology "} + to_string(c.topo));
+  }
+}
+
 CaseResult run_case(const CaseConfig& c) {
   // A fail-fast audit abort anywhere below prints this line.
   audit::set_context(repro_line(c));
-
-  if (c.mixed && c.proto != Protocol::kAmrt) {
-    throw std::invalid_argument("fuzz: --mixed requires --transport AMRT "
-                                "(the foreground transport is fixed; DCTCP rides as background)");
-  }
-  if (c.mixed && c.shards > 1) {
-    throw std::invalid_argument("fuzz: --mixed and --shards are mutually exclusive "
-                                "(mixed transports are serial-only)");
-  }
-  if (c.shards > 1) return run_case_sharded(c);
+  validate(c);
 
   sim::Rng draw{mix(c.seed, case_salt(c))};
   const CaseParams params = draw_params(c, draw);
 
-  sim::Simulation simu{mix(c.seed, case_salt(c) ^ 0xA5A5ULL)};
-  sim::Scheduler& sched = simu.scheduler();
-  net::Network network{simu};
-  Scenario scen = build_case(network, c, params);
+  // One shard is the serial run: the master carries this seed unchanged.
+  sim::ShardGroup group{mix(c.seed, case_salt(c) ^ 0xA5A5ULL), c.shards};
+  net::Network network{group.master()};
+  Scenario built = build_case(network, c, params);
+  ShardedScenario scen{group, network, std::move(built.part), params.link_rate, built.base_rtt};
 
   // Fault schedule: drawn after the topology (it needs the built port pool),
   // armed before the run. The injector owns the plan the scheduled
-  // callbacks read, so it must outlive sched.run() below.
+  // callbacks read, so it must outlive scen.run() below.
   std::unique_ptr<fault::FaultInjector> injector;
   if (c.faults) {
     injector = std::make_unique<fault::FaultInjector>(
-        network, draw_fault_plan(c, network, scen.base_rtt, draw));
+        network, draw_fault_plan(c, network, built.base_rtt, draw));
     injector->arm();
   }
 
   transport::TransportConfig tcfg;
   tcfg.host_rate = params.link_rate;
-  tcfg.base_rtt = scen.base_rtt;
-
-  stats::FctRecorder recorder{params.link_rate, scen.base_rtt};
-  scen.endpoints.reserve(scen.hosts.size());
-  for (net::Host* host : scen.hosts) {
-    auto ep = c.mixed ? core::make_mixed_endpoint(
-                            simu, *host, tcfg, &recorder,
-                            [frac = params.background_fraction](net::FlowId id) {
-                              return is_background_flow(id, frac);
-                            })
-                      : core::make_endpoint(c.proto, simu, *host, tcfg, &recorder);
-    scen.endpoints.push_back(ep.get());
-    host->attach(std::move(ep));
-  }
+  tcfg.base_rtt = built.base_rtt;
+  const double bg_fraction = params.background_fraction;
+  scen.attach_endpoints(built.hosts, [&](sim::Simulation& home, net::Host& host,
+                                         stats::FlowObserver* observer) {
+    if (!c.mixed) return core::make_endpoint(c.proto, home, host, tcfg, observer);
+    return core::make_mixed_endpoint(home, host, tcfg, observer, [bg_fraction](net::FlowId id) {
+      return is_background_flow(id, bg_fraction);
+    });
+  });
 
   workload::TrafficConfig traffic;
   traffic.load = params.load;
   traffic.n_flows = params.n_flows;
-  traffic.n_hosts = scen.hosts.size();
+  traffic.n_hosts = built.hosts.size();
   traffic.host_rate = params.link_rate;
-  const auto flows =
-      workload::generate_traffic(params.spec, &workload::cdf(params.workload), traffic, simu.rng());
-
-  for (const auto& f : flows) {
-    transport::FlowSpec spec{f.id, scen.hosts[f.src_host]->id(), scen.hosts[f.dst_host]->id(),
-                             f.bytes, f.start};
-    transport::TransportEndpoint* src_ep = scen.endpoints[f.src_host];
-    sched.at(f.start, [src_ep, spec] { src_ep->start_flow(spec); });
-  }
+  const auto flows = workload::generate_traffic(params.spec, &workload::cdf(params.workload),
+                                                traffic, group.master().rng());
+  scen.schedule_starts(flows);
 
   // No samplers and no polling: once the last flow completes, recovery
-  // timers cancel and the event set empties, so run() returns at drain.
-  sched.set_event_limit(kEventLimit);
-  sched.run();
+  // timers cancel and the event set empties, so the run ends at drain.
+  ShardedScenario::RunLimits limits;
+  limits.event_limit = kEventLimit;
+  limits.audit_context = repro_line(c);
+  scen.run(limits);
 
   CaseResult r;
   r.flows = flows.size();
-  r.completed = recorder.completed().size();
-  r.events = sched.events_processed();
+  r.completed = scen.merged().completed().size();
+  r.events = scen.events();
   r.faulted = network.packets_faulted();
-  check_oracles(r, recorder, network, scen, params, simu.auditor());
-  check_group_oracle(r, flows, recorder);
+  check_oracles(r, scen.merged(), network, built, params, group.master().auditor());
+  check_group_oracle(r, flows, scen.merged());
   return r;
 }
 

@@ -98,7 +98,13 @@ struct CaseResult {
 // The one-line reproduction command for a case.
 [[nodiscard]] std::string repro_line(const CaseConfig& c);
 
-// Builds, runs and checks one case. Sets the audit replay context to
+// Throws std::invalid_argument, naming the flags, when `c` is a combination
+// no case can run: --faults or --mixed with --shards, --mixed without AMRT,
+// --shards on a dumbbell or chain, a shard count outside [1, 256].
+void validate(const CaseConfig& c);
+
+// Builds, runs and checks one case on one ShardedScenario (one shard is the
+// serial run). validate()s `c` first and sets the audit replay context to
 // `repro_line(c)` so a fail-fast audit abort prints how to reproduce it.
 [[nodiscard]] CaseResult run_case(const CaseConfig& c);
 

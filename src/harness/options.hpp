@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -49,12 +50,25 @@ T parse_number(const std::string& flag, const std::string& text) {
   return value;
 }
 
-// parse_number for a hand-rolled argv loop: a malformed value prints
-// "<prog>: <message>" to stderr and exits 2.
+// parse_number, then a range check: a value below `lo` or above `hi`
+// throws "<flag> must be at least <lo>" / "<flag> must be at most <hi>".
 template <typename T>
-T parse_number_or_exit(const char* prog, const std::string& flag, const std::string& text) {
+T parse_bounded(const std::string& flag, const std::string& text, T lo,
+                T hi = std::numeric_limits<T>::max()) {
+  const T value = parse_number<T>(flag, text);
+  if (value < lo) throw std::invalid_argument(flag + " must be at least " + std::to_string(lo));
+  if (value > hi) throw std::invalid_argument(flag + " must be at most " + std::to_string(hi));
+  return value;
+}
+
+// parse_bounded for a hand-rolled argv loop: a malformed or out-of-range
+// value prints "<prog>: <message>" to stderr and exits 2.
+template <typename T>
+T parse_number_or_exit(const char* prog, const std::string& flag, const std::string& text,
+                       T lo = std::numeric_limits<T>::lowest(),
+                       T hi = std::numeric_limits<T>::max()) {
   try {
-    return parse_number<T>(flag, text);
+    return parse_bounded<T>(flag, text, lo, hi);
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "%s: %s\n", prog, e.what());
     std::exit(2);

@@ -14,6 +14,27 @@ ShardedScenario::ShardedScenario(sim::ShardGroup& group, net::Network& net, net:
   }
 }
 
+void ShardedScenario::attach_endpoints(const std::vector<net::Host*>& hosts,
+                                       const EndpointMaker& make) {
+  hosts_ = hosts;
+  endpoints_.clear();
+  endpoints_.reserve(hosts.size());
+  for (net::Host* host : hosts) {
+    auto ep = make(sim_of(host->id()), *host, &recorder_of(host->id()));
+    endpoints_.push_back(ep.get());
+    host->attach(std::move(ep));
+  }
+}
+
+void ShardedScenario::schedule_starts(const std::vector<workload::GeneratedFlow>& flows) {
+  for (const auto& f : flows) {
+    transport::FlowSpec spec{f.id, hosts_[f.src_host]->id(), hosts_[f.dst_host]->id(), f.bytes,
+                             f.start};
+    transport::TransportEndpoint* src_ep = endpoints_[f.src_host];
+    sched_of(spec.src).at(f.start, [src_ep, spec] { src_ep->start_flow(spec); });
+  }
+}
+
 ShardedScenario::RunStatus ShardedScenario::run(const RunLimits& limits) {
   net::ShardedRunner::Config cfg;
   cfg.event_limit = limits.event_limit;

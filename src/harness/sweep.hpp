@@ -20,6 +20,7 @@
 
 #include "harness/experiment.hpp"
 #include "harness/options.hpp"
+#include "sim/shard.hpp"
 
 namespace amrt::harness {
 
@@ -36,7 +37,7 @@ class SweepRunner {
  public:
   // Upper bound on worker threads, whatever was requested: each point is a
   // whole simulation, so more workers than this only add contention.
-  static constexpr unsigned kMaxThreads = 256;
+  static constexpr unsigned kMaxThreads = sim::kMaxThreads;
 
   // Throws std::invalid_argument when the worker count falls back to an
   // AMRT_SWEEP_THREADS that is not a whole integer in [1, kMaxThreads].

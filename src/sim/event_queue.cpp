@@ -120,9 +120,9 @@ void EventQueue::load_cursor_bucket() {
   constexpr int kLowBits = kBucketShift / 2;
   constexpr int kHighBits = kBucketShift - kLowBits;
   const std::int64_t start = b[0].when_ns & ~(kBucketNs - 1);
-  // Reserved once in practice: a scratch grown to each larger bucket in
-  // turn left heap holes worth ~0.2 MB of peak RSS on a leaf-spine run.
-  if (sort_tmp_.capacity() < n) sort_tmp_.reserve(std::max(std::bit_ceil(n), kMinSortScratch));
+  // Grown in powers of two, so a run reallocates it a handful of times:
+  // 256 ns buckets peak at a few hundred entries.
+  if (sort_tmp_.capacity() < n) sort_tmp_.reserve(std::bit_ceil(n));
   sort_tmp_.resize(n);
   const auto pass = [n, start](const Entry* src, Entry* dst, int shift, int bits) {
     std::array<std::uint32_t, (std::size_t{1} << kHighBits)> count{};

@@ -221,7 +221,6 @@ class EventQueue {
   static constexpr std::size_t kWheelMask = kBuckets - 1;
   static constexpr std::int64_t kBucketNs = std::int64_t{1} << kBucketShift;
   static constexpr std::size_t kWords = kBuckets / 64;
-  static constexpr std::size_t kMinSortScratch = 4096;  // entries (64 KB)
   static_assert(std::has_single_bit(kBuckets) && kBuckets % 64 == 0);
 
   [[nodiscard]] static std::int64_t bucket_of(std::int64_t when_ns) {

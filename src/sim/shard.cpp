@@ -1,6 +1,7 @@
 #include "sim/shard.hpp"
 
 #include <stdexcept>
+#include <string>
 
 namespace amrt::sim {
 
@@ -16,6 +17,10 @@ std::uint64_t ShardGroup::derive_seed(std::uint64_t seed, unsigned shard) {
 
 ShardGroup::ShardGroup(std::uint64_t seed, unsigned n) {
   if (n == 0) throw std::invalid_argument("ShardGroup requires at least one shard");
+  if (n > kMaxThreads) {
+    throw std::invalid_argument("ShardGroup takes at most " + std::to_string(kMaxThreads) +
+                                " shards, got " + std::to_string(n));
+  }
   sims_.reserve(n);
   for (unsigned i = 0; i < n; ++i) {
     sims_.push_back(std::make_unique<Simulation>(derive_seed(seed, i)));

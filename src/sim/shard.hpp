@@ -19,9 +19,14 @@
 
 namespace amrt::sim {
 
+// The most OS threads one run or one sweep starts: a sharded run starts one
+// per shard, a SweepRunner one per worker. Both are capped here.
+inline constexpr unsigned kMaxThreads = 256;
+
 class ShardGroup {
  public:
-  // `n` must be >= 1; shard 0 is seeded with `seed` exactly.
+  // `n` must be in [1, kMaxThreads]; shard 0 is seeded with `seed` exactly.
+  // One shard is the serial run: its master is seeded like Simulation{seed}.
   explicit ShardGroup(std::uint64_t seed, unsigned n);
   ShardGroup(const ShardGroup&) = delete;
   ShardGroup& operator=(const ShardGroup&) = delete;

@@ -161,12 +161,13 @@ std::unique_ptr<ArrivalProcess> make_arrivals(const WorkloadSpec& spec) {
   throw std::logic_error("make_arrivals: unknown arrival model");
 }
 
-// Mean inter-arrival per *flow* at the target load (the original
-// FlowGenerator formula); multi-flow arrival units scale their gap by the
-// member count so the offered byte rate is invariant across structures.
-// The round trip through Duration (integer ns) is load-bearing: the legacy
-// generator rounded its mean the same way, and the exponential draws are
-// only bit-identical if the argument is.
+}  // namespace
+
+// Multi-flow arrival units scale this gap by the member count so the
+// offered byte rate is invariant across structures. The round trip through
+// Duration (integer ns) is load-bearing: the legacy generator rounded its
+// mean the same way, and the exponential draws are only bit-identical if
+// the argument is.
 double mean_flow_gap_seconds(const TrafficConfig& cfg, double mean_flow_bytes) {
   const double agg_bps = cfg.load * static_cast<double>(cfg.n_hosts) *
                          static_cast<double>(cfg.host_rate.bits_per_second());
@@ -175,6 +176,8 @@ double mean_flow_gap_seconds(const TrafficConfig& cfg, double mean_flow_bytes) {
   const double lambda = agg_bps / mean_bits;
   return sim::Duration::from_seconds(1.0 / lambda).to_seconds();
 }
+
+namespace {
 
 // --------------------------------------------------------------------------
 // Structure layer + the synthetic engines (legacy, skewed, fanout): one

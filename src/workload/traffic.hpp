@@ -106,6 +106,11 @@ class TrafficEngine {
 [[nodiscard]] std::unique_ptr<TrafficEngine> make_engine(const WorkloadSpec& spec,
                                                          const EmpiricalCdf* sizes);
 
+// Mean inter-arrival per flow at cfg.load for flows of `mean_flow_bytes`
+// (the original FlowGenerator formula), rounded to whole nanoseconds.
+// Throws std::invalid_argument unless the offered load is positive.
+[[nodiscard]] double mean_flow_gap_seconds(const TrafficConfig& cfg, double mean_flow_bytes);
+
 // One-shot convenience used by the harness.
 [[nodiscard]] std::vector<GeneratedFlow> generate_traffic(const WorkloadSpec& spec,
                                                           const EmpiricalCdf* sizes,

@@ -1,5 +1,5 @@
-// Tests for the harness utilities (tables, options) and the multipath modes
-// used by the ablation benches.
+// Tests for the harness utilities (tables, options, the experiment config
+// check) and the multipath modes used by the ablation benches.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -9,6 +9,7 @@
 #include <string>
 
 #include "harness/csv.hpp"
+#include "harness/experiment.hpp"
 #include "harness/options.hpp"
 #include "net/routing.hpp"
 
@@ -142,6 +143,73 @@ net::Packet data_to(net::NodeId dst, net::FlowId flow) {
   return p;
 }
 }  // namespace
+
+TEST(BenchOptions, BoundedNumbersNameTheirLimit) {
+  EXPECT_EQ(harness::parse_bounded<unsigned>("--shards", "256", 1u, 256u), 256u);
+  auto message = [](const char* text) -> std::string {
+    try {
+      (void)harness::parse_bounded<unsigned>("--shards", text, 1u, 256u);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "";
+  };
+  EXPECT_EQ(message("0"), "--shards must be at least 1");
+  EXPECT_EQ(message("100000"), "--shards must be at most 256");
+  EXPECT_EQ(message("4x"), "--shards expects a non-negative integer, got '4x'");
+}
+
+// validate() is the one combination check: run_leaf_spine calls it first
+// and amrt_sim prints its message. Each exclusion names the flags involved.
+TEST(ExperimentValidate, RejectsEachExcludedCombination) {
+  auto message = [](const harness::ExperimentConfig& cfg) -> std::string {
+    try {
+      harness::validate(cfg);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "";
+  };
+  auto contains = [&](const harness::ExperimentConfig& cfg, const char* needle) {
+    return message(cfg).find(needle) != std::string::npos;
+  };
+  const harness::ExperimentConfig base;
+  EXPECT_EQ(message(base), "");
+
+  auto c = base;
+  c.shards = 2;
+  EXPECT_EQ(message(c), "");
+  c.fault_incidents = 2;
+  EXPECT_TRUE(contains(c, "--faults and --shards are mutually exclusive"));
+  c = base;
+  c.shards = 2;
+  c.background_dctcp_fraction = 0.3;
+  EXPECT_TRUE(contains(c, "--mixed and --shards are mutually exclusive"));
+  c = base;
+  c.background_dctcp_fraction = 0.3;
+  c.proto = transport::Protocol::kNdp;
+  EXPECT_TRUE(contains(c, "--mixed pairs DCTCP background with an AMRT foreground"));
+  c = base;
+  c.fidelity = harness::Fidelity::kFlow;
+  c.shards = 2;
+  EXPECT_TRUE(contains(c, "--fidelity=flow and --shards are mutually exclusive"));
+  c = base;
+  c.fidelity = harness::Fidelity::kMixed;
+  c.fault_incidents = 1;
+  EXPECT_TRUE(contains(c, "--fidelity=mixed and --faults are mutually exclusive"));
+  c = base;
+  c.fidelity = harness::Fidelity::kMixed;
+  c.background_dctcp_fraction = 0.3;
+  EXPECT_TRUE(contains(c, "--fidelity=mixed and --mixed are mutually exclusive"));
+  c = base;
+  c.fidelity = harness::Fidelity::kMixed;
+  c.flow_background_fraction = 1.0;
+  EXPECT_TRUE(contains(c, "--flow-background in (0, 1)"));
+  c = base;
+  c.shards = 257;  // rejected before a shard thread could start
+  EXPECT_TRUE(contains(c, "--shards must be in [1, 256]"));
+  EXPECT_THROW((void)harness::run_leaf_spine(c), std::invalid_argument);
+}
 
 TEST(Multipath, SprayRoundRobinsDataPackets) {
   net::RoutingTable rt;

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "core/factory.hpp"
@@ -18,7 +19,7 @@
 #include "net/topology.hpp"
 #include "sim/shard.hpp"
 #include "stats/fct.hpp"
-#include "workload/generator.hpp"
+#include "workload/traffic.hpp"
 #include "workload/workloads.hpp"
 
 using namespace amrt;
@@ -36,9 +37,10 @@ struct RunOutput {
   stats::FctSummary summary;
 };
 
-// One k=4 fat-tree web-search run. shards == 1 uses the plain serial
-// scheduler; shards > 1 the windowed multi-threaded runner. Both build from
-// the same seed, so topology, workload draws and flow schedule agree.
+// One k=4 fat-tree web-search run. shards == 1 is the serial run (a plain
+// event loop on the master scheduler); shards > 1 the windowed
+// multi-threaded runner. Both build from the same seed, so topology,
+// workload draws and flow schedule agree.
 RunOutput run_fat_tree(unsigned shards, Protocol proto = Protocol::kAmrt) {
   sim::ShardGroup group{kSeed, shards};
   net::Network network{group.master()};
@@ -58,29 +60,20 @@ RunOutput run_fat_tree(unsigned shards, Protocol proto = Protocol::kAmrt) {
   tcfg.host_rate = topo_cfg.link_rate;
   tcfg.base_rtt = topo.base_rtt;
 
-  std::vector<transport::TransportEndpoint*> eps;
-  eps.reserve(topo.hosts.size());
-  for (net::Host* host : topo.hosts) {
-    auto ep = core::make_endpoint(proto, scen.sim_of(host->id()), *host, tcfg,
-                                  &scen.recorder_of(host->id()));
-    eps.push_back(ep.get());
-    host->attach(std::move(ep));
-  }
+  scen.attach_endpoints(topo.hosts, [&](sim::Simulation& home, net::Host& host,
+                                        stats::FlowObserver* observer) {
+    return core::make_endpoint(proto, home, host, tcfg, observer);
+  });
 
-  workload::FlowGenerator gen{workload::cdf(workload::Kind::kWebSearch), group.master().rng()};
   workload::TrafficConfig traffic;
   traffic.load = kLoad;
   traffic.n_flows = kFlows;
   traffic.n_hosts = topo.hosts.size();
   traffic.host_rate = topo_cfg.link_rate;
-  const auto flows = gen.generate(traffic);
-
-  for (const auto& f : flows) {
-    transport::FlowSpec spec{f.id, topo.hosts[f.src_host]->id(), topo.hosts[f.dst_host]->id(),
-                             f.bytes, f.start};
-    transport::TransportEndpoint* src_ep = eps[f.src_host];
-    scen.sched_of(spec.src).at(f.start, [src_ep, spec] { src_ep->start_flow(spec); });
-  }
+  const auto flows = workload::generate_traffic(
+      workload::WorkloadSpec{}, &workload::cdf(workload::Kind::kWebSearch), traffic,
+      group.master().rng());
+  scen.schedule_starts(flows);
 
   scen.run({});
 
@@ -147,4 +140,12 @@ TEST(Sharded, SerialAndShardedSeeTheSameFlowSet) {
     return v;
   };
   EXPECT_EQ(collect(serial), collect(sharded));
+}
+
+TEST(Sharded, ShardCountIsBoundedBeforeAnyShardIsBuilt) {
+  // Each shard is one thread in ShardedRunner::run; the group refuses more
+  // than sim::kMaxThreads before it builds a single Simulation.
+  EXPECT_THROW((sim::ShardGroup{kSeed, 0}), std::invalid_argument);
+  EXPECT_THROW((sim::ShardGroup{kSeed, sim::kMaxThreads + 1}), std::invalid_argument);
+  EXPECT_EQ((sim::ShardGroup{kSeed, 1}).size(), 1u);
 }

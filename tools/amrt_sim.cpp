@@ -15,7 +15,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -97,18 +96,8 @@ constexpr std::int64_t kMaxLinkDelayUs = 1'000'000'000;  // 1000 s
 // A seed sweep builds every point up front.
 constexpr std::size_t kMaxSeeds = 100'000;
 
+using harness::parse_bounded;
 using harness::parse_number;
-
-// A whole-token number (harness::parse_number) in [lo, hi]; hi defaults to
-// the type's maximum.
-template <typename T>
-T bounded(const std::string& flag, const std::string& text, T lo,
-          T hi = std::numeric_limits<T>::max()) {
-  const T value = parse_number<T>(flag, text);
-  if (value < lo) throw std::invalid_argument(flag + " must be at least " + std::to_string(lo));
-  if (value > hi) throw std::invalid_argument(flag + " must be at most " + std::to_string(hi));
-  return value;
-}
 
 // A probability or share in [0, 1] (NaN fails both comparisons).
 double fraction(const std::string& flag, const std::string& text) {
@@ -151,7 +140,7 @@ int main(int argc, char** argv) {
       } else if (match(arg, "--arrivals=", v)) {
         cfg.engine.arrivals = workload::arrival_model_from_string(v);
       } else if (match(arg, "--hosts-per-rack=", v)) {
-        cfg.engine.skew.hosts_per_rack = bounded<std::size_t>("--hosts-per-rack", v, 1);
+        cfg.engine.skew.hosts_per_rack = parse_bounded<std::size_t>("--hosts-per-rack", v, 1);
       } else if (match(arg, "--hot-racks=", v)) {
         cfg.engine.skew.hot_rack_fraction = fraction("--hot-racks", v);
       } else if (match(arg, "--hot-weight=", v)) {
@@ -161,9 +150,9 @@ int main(int argc, char** argv) {
       } else if (match(arg, "--coflow=", v)) {
         cfg.engine.coflow_fraction = fraction("--coflow", v);
       } else if (match(arg, "--coflow-width=", v)) {
-        cfg.engine.coflow_width = bounded<std::size_t>("--coflow-width", v, 1);
+        cfg.engine.coflow_width = parse_bounded<std::size_t>("--coflow-width", v, 1);
       } else if (match(arg, "--fanout=", v)) {
-        cfg.engine.fanout = bounded<std::size_t>("--fanout", v, 1);
+        cfg.engine.fanout = parse_bounded<std::size_t>("--fanout", v, 1);
       } else if (match(arg, "--response-bytes=", v)) {
         cfg.engine.response_bytes = parse_number<std::uint64_t>("--response-bytes", v);
       } else if (match(arg, "--trace=", v)) {
@@ -187,23 +176,23 @@ int main(int argc, char** argv) {
           throw std::invalid_argument("--load must be in (0, 1]");
         }
       } else if (match(arg, "--flows=", v)) {
-        cfg.n_flows = bounded<std::size_t>("--flows", v, 1, kMaxFlows);
+        cfg.n_flows = parse_bounded<std::size_t>("--flows", v, 1, kMaxFlows);
       } else if (match(arg, "--leaves=", v)) {
-        cfg.leaves = bounded("--leaves", v, 1);
+        cfg.leaves = parse_bounded("--leaves", v, 1);
       } else if (match(arg, "--spines=", v)) {
-        cfg.spines = bounded("--spines", v, 1);
+        cfg.spines = parse_bounded("--spines", v, 1);
       } else if (match(arg, "--hosts-per-leaf=", v)) {
-        cfg.hosts_per_leaf = bounded("--hosts-per-leaf", v, 1);
+        cfg.hosts_per_leaf = parse_bounded("--hosts-per-leaf", v, 1);
       } else if (match(arg, "--link-gbps=", v)) {
         cfg.link_rate =
-            sim::Bandwidth::gbps(bounded<std::int64_t>("--link-gbps", v, 1, kMaxLinkGbps));
+            sim::Bandwidth::gbps(parse_bounded<std::int64_t>("--link-gbps", v, 1, kMaxLinkGbps));
       } else if (match(arg, "--link-delay-us=", v)) {
         cfg.link_delay = sim::Duration::microseconds(
-            bounded<std::int64_t>("--link-delay-us", v, 0, kMaxLinkDelayUs));
+            parse_bounded<std::int64_t>("--link-delay-us", v, 0, kMaxLinkDelayUs));
       } else if (match(arg, "--buffer-pkts=", v)) {
-        cfg.queues.buffer_pkts = bounded<std::size_t>("--buffer-pkts", v, 1);
+        cfg.queues.buffer_pkts = parse_bounded<std::size_t>("--buffer-pkts", v, 1);
       } else if (match(arg, "--overcommit=", v)) {
-        cfg.homa_overcommit = bounded("--overcommit", v, 1);
+        cfg.homa_overcommit = parse_bounded("--overcommit", v, 1);
       } else if (match(arg, "--faults=", v)) {
         cfg.fault_incidents = parse_number<std::size_t>("--faults", v);
       } else if (match(arg, "--fault-seed=", v)) {
@@ -211,11 +200,11 @@ int main(int argc, char** argv) {
       } else if (match(arg, "--seed=", v)) {
         cfg.seed = parse_number<std::uint64_t>("--seed", v);
       } else if (match(arg, "--shards=", v)) {
-        cfg.shards = bounded("--shards", v, 1u);
+        cfg.shards = parse_bounded("--shards", v, 1u, sim::kMaxThreads);
       } else if (match(arg, "--seeds=", v)) {
-        n_seeds = bounded<std::size_t>("--seeds", v, 1, kMaxSeeds);
+        n_seeds = parse_bounded<std::size_t>("--seeds", v, 1, kMaxSeeds);
       } else if (match(arg, "--threads=", v)) {
-        threads = bounded("--threads", v, 0u, harness::SweepRunner::kMaxThreads);
+        threads = parse_bounded("--threads", v, 0u, harness::SweepRunner::kMaxThreads);
       } else if (match(arg, "--json=", v)) {
         json_path = v;
       } else if (match(arg, "--fct-csv=", v)) {
@@ -238,10 +227,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (cfg.shards > 1 && cfg.fault_incidents > 0) {
-    std::fprintf(stderr, "amrt_sim: --faults and --shards are mutually exclusive\n");
-    return 2;
-  }
   if (cfg.engine.engine == workload::Engine::kTrace && cfg.engine.trace_path.empty()) {
     std::fprintf(stderr, "amrt_sim: --workload-engine=trace needs --trace=PATH\n");
     return 2;
@@ -250,31 +235,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "amrt_sim: --trace-out only supports a single point (drop --seeds)\n");
     return 2;
   }
-  if (cfg.background_dctcp_fraction > 0.0) {
-    if (cfg.proto != transport::Protocol::kAmrt) {
-      std::fprintf(stderr, "amrt_sim: --mixed requires --proto=AMRT\n");
-      return 2;
-    }
-    if (cfg.shards > 1) {
-      std::fprintf(stderr, "amrt_sim: --mixed and --shards are mutually exclusive\n");
-      return 2;
-    }
-  }
-  if (cfg.fidelity != harness::Fidelity::kPacket) {
-    if (cfg.shards > 1) {
-      std::fprintf(stderr, "amrt_sim: --fidelity=%s and --shards are mutually exclusive\n",
-                   harness::to_string(cfg.fidelity));
-      return 2;
-    }
-    if (cfg.fault_incidents > 0) {
-      std::fprintf(stderr, "amrt_sim: --fidelity=%s and --faults are mutually exclusive\n",
-                   harness::to_string(cfg.fidelity));
-      return 2;
-    }
-    if (cfg.fidelity == harness::Fidelity::kMixed && cfg.background_dctcp_fraction > 0.0) {
-      std::fprintf(stderr, "amrt_sim: --fidelity=mixed and --mixed are mutually exclusive\n");
-      return 2;
-    }
+  try {
+    harness::validate(cfg);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "amrt_sim: %s\n", e.what());
+    return 2;
   }
 
   // One point per seed; a single run is just a one-point sweep.
@@ -297,9 +262,9 @@ int main(int argc, char** argv) {
     harness::SweepRunner runner{sopts};
     results = runner.run(points);
   } catch (const std::exception& e) {
-    // A combination the flag checks above cannot see (say, a one-host
-    // fabric), or a malformed AMRT_SWEEP_THREADS, is rejected by the
-    // harness before any point runs.
+    // A combination validate() cannot see (say, a one-host fabric), or a
+    // malformed AMRT_SWEEP_THREADS, is rejected by the harness before any
+    // point runs.
     std::fprintf(stderr, "amrt_sim: %s\n", e.what());
     return 2;
   }

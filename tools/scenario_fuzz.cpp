@@ -8,13 +8,16 @@
 //   scenario_fuzz --seed 7 --topo dumbbell --transport ndp
 //
 // which re-runs exactly that case (same parameters, same flows, same hash).
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <stdexcept>
 #include <string>
 
 #include "audit/auditor.hpp"
 #include "harness/fuzz.hpp"
+#include "harness/options.hpp"
+#include "sim/shard.hpp"
 
 namespace {
 
@@ -31,10 +34,12 @@ void usage(const char* argv0) {
                "          [--faults] [--mixed] [--workload-engine] [--keep-going] [--quiet]\n"
                "\n"
                "  --seed N       first seed (default 1); with --seeds 1, runs exactly one case\n"
-               "  --seeds N      seeds per (topology, transport) pair (default 25)\n"
-               "  --shards N     run every case partitioned across N worker threads (fat-tree\n"
-               "                 and leaf-spine only; other topologies are skipped). Mutually\n"
-               "                 exclusive with --faults and --mixed\n"
+               "  --seeds N      seeds per (topology, transport) pair (default 25, at most\n"
+               "                 100000)\n"
+               "  --threads N    sweep worker threads (0 = one per core, at most 256)\n"
+               "  --shards N     run every case partitioned across N worker threads (at most\n"
+               "                 256; fat-tree and leaf-spine only: --topo all skips the\n"
+               "                 others). Mutually exclusive with --faults and --mixed\n"
                "  --faults       inject a seeded fault schedule (link flaps, blackhole\n"
                "                 windows, rate dips) into every case; oracles must still hold\n"
                "  --mixed        mixed transports: AMRT foreground + a drawn fraction of DCTCP\n"
@@ -49,11 +54,8 @@ void usage(const char* argv0) {
                argv0);
 }
 
-bool parse_u64(const char* s, std::uint64_t& out) {
-  char* end = nullptr;
-  out = std::strtoull(s, &end, 10);
-  return end != s && *end == '\0';
-}
+// run_fuzz builds every case up front.
+constexpr std::uint64_t kMaxSeeds = 100'000;
 
 }  // namespace
 
@@ -74,11 +76,9 @@ int main(int argc, char** argv) {
     };
     try {
       if (arg == "--seed") {
-        if (!parse_u64(value(), opts.first_seed)) throw std::invalid_argument("bad --seed");
+        opts.first_seed = harness::parse_number<std::uint64_t>(arg, value());
       } else if (arg == "--seeds") {
-        if (!parse_u64(value(), opts.seeds) || opts.seeds == 0) {
-          throw std::invalid_argument("bad --seeds");
-        }
+        opts.seeds = harness::parse_bounded<std::uint64_t>(arg, value(), 1, kMaxSeeds);
       } else if (arg == "--topo") {
         const std::string v = value();
         if (v != "all") opts.topos = {harness::fuzz::topo_from_string(v)};
@@ -89,13 +89,9 @@ int main(int argc, char** argv) {
           transport_set = true;
         }
       } else if (arg == "--threads") {
-        std::uint64_t n = 0;
-        if (!parse_u64(value(), n)) throw std::invalid_argument("bad --threads");
-        opts.threads = static_cast<unsigned>(n);
+        opts.threads = harness::parse_bounded(arg, value(), 0u, sim::kMaxThreads);
       } else if (arg == "--shards") {
-        std::uint64_t n = 0;
-        if (!parse_u64(value(), n) || n == 0) throw std::invalid_argument("bad --shards");
-        opts.shards = static_cast<unsigned>(n);
+        opts.shards = harness::parse_bounded(arg, value(), 1u, sim::kMaxThreads);
       } else if (arg == "--faults") {
         opts.faults = true;
       } else if (arg == "--mixed") {
@@ -120,23 +116,19 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (opts.faults && opts.shards > 1) {
-    std::fprintf(stderr, "%s: --faults and --shards are mutually exclusive\n", argv[0]);
+  // --mixed fixes the foreground transport: the default axis narrows to
+  // AMRT, while an explicit `--transport ndp --mixed` fails validation below
+  // instead of silently running zero cases.
+  if (opts.mixed && !transport_set) opts.protocols = {transport::Protocol::kAmrt};
+  // The sweep's first case carries every flag; the same check rejects it
+  // here, before any case runs, as run_case would.
+  try {
+    harness::fuzz::validate(CaseConfig{opts.first_seed, opts.topos.front(),
+                                       opts.protocols.front(), opts.faults, opts.shards,
+                                       opts.mixed, opts.engine});
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
     return 2;
-  }
-  if (opts.mixed && opts.shards > 1) {
-    std::fprintf(stderr, "%s: --mixed and --shards are mutually exclusive\n", argv[0]);
-    return 2;
-  }
-  if (opts.mixed) {
-    // The foreground transport is fixed. With the default axis run_fuzz just
-    // narrows it; an explicit `--transport ndp --mixed` fails loudly instead
-    // of silently running zero cases.
-    if (transport_set && opts.protocols.front() != transport::Protocol::kAmrt) {
-      std::fprintf(stderr, "%s: --mixed requires --transport amrt\n", argv[0]);
-      return 2;
-    }
-    opts.protocols = {transport::Protocol::kAmrt};
   }
 
   // Fail-fast aborts (printing the replay line) are the right default for a
